@@ -17,7 +17,7 @@ from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 from . import codec, families, gaussref, polya
-from .exactdist import dist_statistic, mixture_identity_check, moments
+from .exactdist import dist_statistic, mixture_identity_check, moment_report
 from .families import ENUMERATION_LIMIT, FamilySpec
 
 DIFF_TOLERANCE = 0.001 + 1e-9
@@ -107,8 +107,24 @@ def _write_out(text: str, out_path):
 
 def _moment_column(job):
     family, cap, n, stat, k_lo, k_hi = job
-    report = moments(dist_statistic(FamilySpec(family, n, cap), stat), k_hi)
+    report = moment_report(FamilySpec(family, n, cap), stat, k_hi)
     return n, [report.standardized[k] for k in range(k_lo, k_hi + 1)]
+
+
+def _check_moment_request(family: str, cap: int, ns: list[int], ks: list[int], stat) -> None:
+    """Refuse a table with no standardized moments to print, before any work."""
+    if ks[0] < 3:
+        raise ValueError(
+            f"--k must start at 3 or above (m1 = 0 and m2 = 1 always), got {ks[0]}"
+        )
+    for n in ns:
+        FamilySpec(family, n, cap)
+    if cap == 0:
+        # cap 0 leaves one member; with cap >= 1 every statistic varies
+        raise ValueError(
+            f"zero variance at family {family}, stat {stat}, n {ns[0]}, cap 0: "
+            "standardized moments are undefined"
+        )
 
 
 def cmd_moments(args) -> int:
@@ -119,6 +135,7 @@ def cmd_moments(args) -> int:
     ns = parse_range(args.n)
     ks = parse_range(args.k)
     stat = _stat_arg(args)
+    _check_moment_request(family, cap, ns, ks, stat)
     jobs = [(family, cap, n, stat, ks[0], ks[-1]) for n in ns]
     if args.jobs and int(args.jobs) > 1:
         with ProcessPoolExecutor(max_workers=int(args.jobs)) as pool:
@@ -161,7 +178,8 @@ def _diff_tables(produced: str, golden_path: str) -> int:
                 problems.append(f"row shape mismatch at k={ra[0]} vs k={rb[0]}")
                 continue
             for col, (a, b) in enumerate(zip(ra[1:], rb[1:]), start=1):
-                if abs(float(a) - float(b)) > DIFF_TOLERANCE:
+                # `not <=` so that a nan on either side counts as drift
+                if not abs(float(a) - float(b)) <= DIFF_TOLERANCE:
                     problems.append(
                         f"k={ra[0]} {ours[0][col]}: {a} differs from golden {b}"
                     )
@@ -212,7 +230,7 @@ def cmd_distance(args) -> int:
 def cmd_sample(args) -> int:
     spec = _spec_from(args)
     count = int(args.count)
-    out_lines = []
+    out = []
     for x in families.sample(spec, seed=int(args.seed), count=count):
         record = {"x": list(x)}
         if args.decode:
@@ -223,8 +241,8 @@ def cmd_sample(args) -> int:
                 else codec.decode_core(vec)
             )
             record["partition"] = str(p)
-        out_lines.append(json.dumps(record))
-    _write_out("\n".join(out_lines) + "\n", args.out)
+        out.append(json.dumps(record) + "\n")
+    _write_out("".join(out), args.out)
     return 0
 
 

@@ -67,27 +67,19 @@ class DiscreteDist:
     def central_moment(self, k: int) -> Fraction:
         return self.central_moments(k)[k]
 
-    def central_moments(self, k_max: int) -> list[Fraction]:
-        """[mu_0 .. mu_k_max], exact.
-
-        Raw power sums are pure-integer accumulations; the shift to central
-        moments is a binomial transform on k_max+1 rationals, which keeps
-        Fraction arithmetic off the per-atom path.
-        """
+    def power_sums(self, k_max: int) -> list[int]:
+        """[sum w*v^0 .. sum w*v^k_max], pure-integer accumulations."""
         raw = [0] * (k_max + 1)
         for v, w in self._atoms.items():
             term = w
             for k in range(k_max + 1):
                 raw[k] += term
                 term *= v
-        mu = self.mean() if k_max == 0 else Fraction(raw[1], self.total)
-        out = []
-        for k in range(k_max + 1):
-            acc = Fraction(0)
-            for j in range(k + 1):
-                acc += comb(k, j) * Fraction(raw[j], self.total) * (-mu) ** (k - j)
-            out.append(acc)
-        return out
+        return raw
+
+    def central_moments(self, k_max: int) -> list[Fraction]:
+        """[mu_0 .. mu_k_max], exact."""
+        return central_moments_from_sums(self.power_sums(k_max))
 
     def variance(self) -> Fraction:
         return self.central_moment(2)
@@ -126,6 +118,25 @@ def convolve(a: DiscreteDist, b: DiscreteDist) -> DiscreteDist:
             key = va + vb
             out[key] = out.get(key, 0) + wa * wb
     return DiscreteDist(out)
+
+
+def central_moments_from_sums(raw: list[int]) -> list[Fraction]:
+    """Exact central moments [mu_0 .. mu_K] from integer power sums.
+
+    raw[j] = sum w*v^j with raw[0] the total weight.  The shift to central
+    moments is a binomial transform kept in integers,
+        mu_k * total^k = sum_j C(k, j) * raw[j] * total^(j-1) * (-raw[1])^(k-j),
+    so one Fraction is built per order and none on the per-atom path.
+    """
+    total = raw[0]
+    shift = -raw[1] if len(raw) > 1 else 0
+    out = [Fraction(1)]
+    for k in range(1, len(raw)):
+        num = shift**k + sum(
+            comb(k, j) * raw[j] * total ** (j - 1) * shift ** (k - j) for j in range(1, k + 1)
+        )
+        out.append(Fraction(num, total**k))
+    return out
 
 
 def round_half_away(sign: int, square: Fraction, digits: int = 3) -> str:

@@ -10,6 +10,9 @@ Engines:
     pairs are independent, so the distribution is a product of per-pair
     convolutions (the middle coordinate of odd n is pinned to zero).
 
+The moment engine (`power_sums`, `moment_report`) never builds a pmf: it
+folds the same family automata over exact power sums of the statistic.
+
 All weights stay arbitrary-precision integers; floats appear only when a
 standardized moment is finally printed.
 """
@@ -17,11 +20,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, sqrt
+from itertools import product
+from math import comb, prod
 from typing import Iterator
 
 from .distributions import (
     DiscreteDist,
+    central_moments_from_sums,
     convolve,
     point_mass,
     round_half_away,
@@ -38,6 +43,8 @@ __all__ = [
     "dist_power_sum_selfconj",
     "dist_statistic",
     "moments",
+    "moment_report",
+    "power_sums",
     "conditional_stat",
     "ConditionalStat",
     "legal_supports",
@@ -79,14 +86,22 @@ def dist_power_sum_selfconj(n: int, e: int, k: int) -> DiscreteDist:
         raise ValueError("power k must be non-negative")
     acc = point_mass(0)
     for i in range(1, n // 2 + 1):
-        pair: dict[int, int] = {0: 1}
-        for r in (2 * i - 1, 2 * n + 1 - 2 * i):
-            run = 0
-            for a in range(1, e + 1):
-                run += (r + 2 * n * (a - 1)) ** k
-                pair[run] = pair.get(run, 0) + 1
+        pair: dict[int, int] = {}
+        for value in _pair_values(n, e, k, i):
+            pair[value] = pair.get(value, 0) + 1
         acc = convolve(acc, DiscreteDist(pair))
     return acc
+
+
+def _pair_values(n: int, e: int, k: int, i: int) -> list[int]:
+    """Power-sum contribution of antipodal pair i, one entry per assignment."""
+    values = [0]
+    for r in (2 * i - 1, 2 * n + 1 - 2 * i):
+        run = 0
+        for a in range(1, e + 1):
+            run += (r + 2 * n * (a - 1)) ** k
+            values.append(run)
+    return values
 
 
 def dist_statistic(spec: FamilySpec, stat) -> DiscreteDist:
@@ -186,13 +201,6 @@ class MomentReport:
     def degenerate(self) -> bool:
         return self.variance == 0
 
-    def standardized_float(self, k: int) -> float:
-        if self.degenerate:
-            raise ZeroDivisionError("standardized moments undefined at zero variance")
-        mk = self.central[k]
-        sign = (mk > 0) - (mk < 0)
-        return sign * sqrt(float(mk * mk / self.variance**k))
-
 
 def moments(dist: DiscreteDist, k_max: int, digits: int = 3, **meta) -> MomentReport:
     """Central moments in exact rationals; m_k rounded half-away-from-zero.
@@ -200,15 +208,30 @@ def moments(dist: DiscreteDist, k_max: int, digits: int = 3, **meta) -> MomentRe
     The rounding is exact as well: m_k^2 is rational, so the 3-decimal
     string is decided by integer square-root comparisons, never by a float.
     """
-    central = tuple(dist.central_moments(k_max))
-    variance = central[2] if k_max >= 2 else dist.variance()
+    return _report(dist.power_sums(max(k_max, 2)), k_max, digits, meta)
+
+
+def moment_report(spec: FamilySpec, stat, k_max: int, digits: int = 3) -> MomentReport:
+    """`moments(dist_statistic(spec, stat), k_max)` without building the pmf."""
+    raw = power_sums(spec, stat, max(k_max, 2))
+    meta = {"family": spec.family, "stat": str(stat), "n": spec.n, "cap": spec.cap}
+    return _report(raw, k_max, digits, meta)
+
+
+def _report(raw: list[int], k_max: int, digits: int, meta: dict) -> MomentReport:
+    central = central_moments_from_sums(raw)
+    variance = central[2]
     standardized: dict[int, str] = {}
     if variance != 0:
         for k in range(1, k_max + 1):
             sign, square = _std_sq(central, k)
             standardized[k] = round_half_away(sign, square, digits)
     return MomentReport(
-        mean=dist.mean(), variance=variance, central=central, standardized=standardized, **meta
+        mean=Fraction(raw[1], raw[0]),
+        variance=variance,
+        central=tuple(central[: k_max + 1]),
+        standardized=standardized,
+        **meta,
     )
 
 
@@ -216,6 +239,109 @@ def _std_sq(central: tuple[Fraction, ...], k: int) -> tuple[int, Fraction]:
     mk, var = central[k], central[2]
     sign = (mk > 0) - (mk < 0)
     return sign, mk * mk / var**k
+
+
+# ---------------------------------------------------------- moment engine
+#
+# Each family is a small automaton over its coordinates: one state with iid
+# values (core), a free/blocked chain where a nonzero entry blocks the next
+# (strict), or one state with iid antipodal pairs (selfconj).  A coordinate
+# adds a contribution vector c to a running vector C, so the fold carries,
+# per state, the mixed power sums M[e] = sum over paths of prod_t C_t^e_t for
+# e in a downward-closed index set.  Appending values with power sums
+# U[g] = sum_c prod_t c_t^g_t updates them by the binomial rule
+#     M'[e] = sum_{f <= e} prod_t C(e_t, f_t) * M[f] * U[e - f].
+
+# The fold's plan holds sum over the index of prod_t (e_t + 1) terms, and
+# each coordinate costs that many products: k_max^4 / 6 for size, k_max^2 / 2
+# otherwise.  Past this limit (size k_max > 16, other statistics k_max > 198)
+# the power sums are read off the pmf, so no order allocates a huge plan.
+FOLD_PLAN_LIMIT = 20_000
+
+
+def power_sums(spec: FamilySpec, stat, k_max: int) -> list[int]:
+    """[sum of s^j over the family, j = 0..k_max] for the statistic s; no pmf.
+
+    Length and the selfconj power sums carry one contribution.  Size over
+    core/strict carries (A, V) with A = sum(x_i), V = sum(n*x_i^2 +
+    (2i-n+1)*x_i), and sums A^p V^q for p + 2q <= 2*k_max; then
+    S = (V - A^2)/2 gives sum S^j = 2^-j sum_m C(j,m) (-1)^m sum A^2m V^(j-m).
+    Orders whose fold plan exceeds FOLD_PLAN_LIMIT are read off the pmf.
+    """
+    kind, k = normalize_stat(stat)
+    n, cap = spec.n, spec.cap
+    index = [(j,) for j in range(k_max + 1)]
+    if spec.family == "selfconj":
+        k = {"length": 0, "durfee": 0, "size": 1}.get(kind, k)
+        states, steps = 1, (
+            [(0, 0, [(v,) for v in _pair_values(n, cap, k, i)])] for i in range(1, n // 2 + 1)
+        )
+    elif kind == "length":
+        states, steps = _coordinate_steps(spec, lambda i, x: (x,))
+    elif kind == "size":
+        index = [(p, q) for q in range(k_max + 1) for p in range(2 * (k_max - q) + 1)]
+        states, steps = _coordinate_steps(spec, lambda i, x: (x, n * x * x + (2 * i - n + 1) * x))
+    else:
+        raise ValueError(f"statistic {stat!r} has no engine for family {spec.family!r}")
+    if sum(prod(a + 1 for a in e) for e in index) > FOLD_PLAN_LIMIT:
+        return dist_statistic(spec, stat).power_sums(k_max)
+    sums = _fold_power_sums(states, steps, index)
+    if len(index[0]) == 1:
+        return sums
+    mixed = dict(zip(index, sums))
+    out = []
+    for j in range(k_max + 1):
+        scaled = sum((-1) ** m * comb(j, m) * mixed[(2 * m, j - m)] for m in range(j + 1))
+        assert scaled % 2**j == 0
+        out.append(scaled // 2**j)
+    return out
+
+
+def _coordinate_steps(spec: FamilySpec, contribution):
+    """(states, steps) of the core or strict automaton; state 1 is 'blocked'."""
+    n, d = spec.n, spec.cap
+    if spec.family == "core":
+        return 1, ([(0, 0, [contribution(i, x) for x in range(d + 1)])] for i in range(1, n))
+    return 2, (
+        [
+            (0, 0, [contribution(i, 0)]),
+            (1, 0, [contribution(i, 0)]),
+            (0, 1, [contribution(i, x) for x in range(1, d + 1)]),
+        ]
+        for i in range(1, n)
+    )
+
+
+def _fold_power_sums(states: int, steps, index: list[tuple[int, ...]]) -> list[int]:
+    """Mixed power sums, in `index` order, over every path (all states accept).
+
+    `steps` yields, per coordinate, transitions (src, dst, contributions).
+    """
+    where = {e: t for t, e in enumerate(index)}
+    plan = [
+        [
+            (
+                prod(comb(a, b) for a, b in zip(e, f)),
+                where[f],
+                where[tuple(a - b for a, b in zip(e, f))],
+            )
+            for f in product(*(range(a + 1) for a in e))
+        ]
+        for e in index
+    ]
+    unit = [int(not any(e)) for e in index]
+    zero = [0] * len(index)
+    layer = [unit] + [zero] * (states - 1)
+    for transitions in steps:
+        nxt = [zero] * states
+        for src, dst, values in transitions:
+            sums = layer[src]
+            factor = [sum(prod(c**g for c, g in zip(v, e)) for v in values) for e in index]
+            if factor != unit:
+                sums = [sum(c * sums[f] * factor[g] for c, f, g in terms) for terms in plan]
+            nxt[dst] = [a + b for a, b in zip(nxt[dst], sums)]
+        layer = nxt
+    return [sum(col) for col in zip(*layer)]
 
 
 def legal_supports(n: int) -> Iterator[tuple[int, ...]]:

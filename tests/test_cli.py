@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -89,6 +90,40 @@ def test_moments_out_and_diff(tmp_path, capsys):
     assert run(capsys, *ok[:-1], str(commented))[0] == 0
 
 
+def test_diff_nan_cell_is_drift(tmp_path, capsys):
+    args = ["moments", "--family", "core", "--stat", "length",
+            "--d", "2", "--n", "6..7", "--k", "3..4"]
+    _, text, _ = run(capsys, *args)
+    lines = text.splitlines()
+    lines[2] = lines[2].rsplit(",", 1)[0] + ",nan"
+    nan_golden = tmp_path / "nan.csv"
+    nan_golden.write_text("\n".join(lines) + "\n")
+    code, _, err = run(capsys, *args, "--diff", str(nan_golden))
+    assert code == 2
+    assert "nan" in err
+
+
+@pytest.mark.parametrize("bad", [["--k", "1..1"], ["--k", "0..2"], ["--d", "0"]])
+def test_malformed_moments_requests_are_refused(capsys, bad):
+    args = ["moments", "--family", "core", "--stat", "length", "--d", "3",
+            "--n", "5..6", "--k", "3..8"]
+    code, out, err = run(capsys, *args, *bad)
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    if bad[0] == "--d":
+        assert "zero variance" in err and "core" in err and "n 5" in err and "cap 0" in err
+
+
+def test_moments_selfconj_power3_large_n_is_fast(capsys):
+    t0 = time.perf_counter()
+    code, out, _ = run(capsys, "moments", "--family", "selfconj", "--stat", "power:3",
+                       "--e", "2", "--n", "40", "--k", "3..8")
+    assert code == 0
+    assert time.perf_counter() - t0 < 1.0
+    assert out.splitlines()[0] == "k,40" and len(out.splitlines()) == 7
+
+
 def test_diff_header_mismatch(tmp_path, capsys):
     table = tmp_path / "t.csv"
     table.write_text("k,6,7\n3,0.000,0.000\n")
@@ -136,6 +171,13 @@ def test_sample_decode_and_determinism(capsys):
     assert again == out
     _, other, _ = run(capsys, *args[:-4], "12", "--count", "5", "--decode")
     assert other != out
+
+
+def test_sample_count_zero_writes_nothing(capsys):
+    code, out, _ = run(capsys, "sample", "--family", "strict", "--d", "2", "--n", "6",
+                       "--seed", "3", "--count", "0")
+    assert code == 0
+    assert out == ""
 
 
 def test_config_file_fills_missing_flags(tmp_path, capsys):

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -13,7 +14,9 @@ from coreperim.exactdist import (
     dist_statistic,
     legal_supports,
     mixture_identity_check,
+    moment_report,
     moments,
+    power_sums,
 )
 from coreperim.families import (
     FamilySpec,
@@ -98,7 +101,6 @@ def test_moment_report_fields():
     assert rep.standardized[3] == "0.000"
     # kurtosis of the 4-fold uniform{0..3} sum
     assert rep.standardized[4] == "2.660"
-    assert abs(rep.standardized_float(4) - 2.66) < 1e-12
 
 
 def test_moment_report_degenerate():
@@ -106,8 +108,52 @@ def test_moment_report_degenerate():
     assert rep.degenerate
     assert rep.mean == 7 and rep.variance == 0
     assert rep.standardized == {}
-    with pytest.raises(ZeroDivisionError):
-        rep.standardized_float(3)
+
+
+# (family, stat, cap, n range) of the eight golden tables
+GOLDEN_GRIDS = [
+    ("core", "length", 3, range(5, 15)),
+    ("core", "size", 3, range(5, 15)),
+    ("strict", "length", 2, range(8, 18)),
+    ("strict", "size", 2, range(8, 18)),
+] + [("selfconj", f"power:{k}", 2, range(6, 16)) for k in range(4)]
+
+
+def assert_engines_agree(spec, stat, k_max=8):
+    rep = moment_report(spec, stat, k_max)
+    dist = dist_statistic(spec, stat)
+    assert list(rep.central) == dist.central_moments(k_max), (spec, stat)
+    ref = moments(dist, k_max)
+    assert (rep.mean, rep.variance, rep.standardized) == (ref.mean, ref.variance, ref.standardized)
+    assert (rep.family, rep.stat, rep.n, rep.cap) == (spec.family, stat, spec.n, spec.cap)
+
+
+def test_moment_engine_matches_pmf_on_golden_grids():
+    for family, stat, cap, ns in GOLDEN_GRIDS:
+        for n in ns:
+            assert_engines_agree(FamilySpec(family, n, cap), stat)
+
+
+def test_moment_engine_matches_pmf_on_oracle_grid():
+    for family in ("core", "strict", "selfconj"):
+        for n, cap in product(range(2, 9), range(4)):
+            spec = FamilySpec(family, n, cap)
+            for stat in stats_for(family):
+                assert_engines_agree(spec, stat)
+                # the CLI refuses cap 0 as the only zero-variance case
+                assert moment_report(spec, stat, 8).degenerate == (cap == 0)
+
+
+def test_power_sums_past_the_plan_limit_and_errors():
+    # orders whose fold plan is too large are read off the pmf instead
+    spec = FamilySpec("strict", 9, 2)
+    assert power_sums(spec, "size", 18) == dist_size(spec).power_sums(18)
+    assert power_sums(spec, "length", 18) == dist_length(spec).power_sums(18)
+    assert power_sums(spec, "length", 200) == dist_length(spec).power_sums(200)
+    with pytest.raises(ValueError):
+        power_sums(FamilySpec("core", 5, 2), "durfee", 4)
+    with pytest.raises(ValueError):
+        power_sums(FamilySpec("strict", 5, 2), "power:2", 4)
 
 
 def test_legal_supports_counts_and_shape():
