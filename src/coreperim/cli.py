@@ -168,7 +168,9 @@ def _diff_tables(produced: str, golden_path: str) -> int:
     ours = _parse_cells(produced)
     theirs = _parse_cells(golden)
     problems = []
-    if ours[:1] != theirs[:1]:
+    if not theirs:
+        problems.append(f"golden file {golden_path} has no table rows")
+    elif ours[:1] != theirs[:1]:
         problems.append(f"header mismatch: {ours[0]} vs {theirs[0]}")
     elif len(ours) != len(theirs):
         problems.append(f"row count {len(ours)} vs {len(theirs)}")

@@ -10,7 +10,6 @@ to x in {0..e}^n with x_i * x_{n+1-i} = 0.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from .partitions import (
@@ -171,33 +170,3 @@ def stat_power_sum(v: DiagVector, k: int) -> int:
     if k < 0:
         raise ValueError("power k must be non-negative")
     return sum(h**k for h in diagonal_hooks(v))
-
-
-def parse_vector(text: str, header: str):
-    """Parse "3,0,1" against a header "n=4 d=3" (or "n=3 e=1")."""
-    fields = dict(tok.split("=") for tok in header.split())
-    n = int(fields["n"])
-    entries = tuple(int(tok) for tok in text.split(",")) if text.strip() else ()
-    if "d" in fields:
-        return CoreVector(n, int(fields["d"]), entries)
-    return DiagVector(n, int(fields["e"]), entries)
-
-
-def format_vector(v) -> tuple[str, str]:
-    """Inverse of parse_vector; returns (text, header)."""
-    if isinstance(v, CoreVector):
-        return ",".join(map(str, v.x)), f"n={v.n} d={v.d}"
-    return ",".join(map(str, v.x)), f"n={v.n} e={v.e}"
-
-
-def vector_to_json(v) -> str:
-    cap_key = "d" if isinstance(v, CoreVector) else "e"
-    cap = v.d if isinstance(v, CoreVector) else v.e
-    return json.dumps({"n": v.n, cap_key: cap, "x": list(v.x)})
-
-
-def vector_from_json(text: str):
-    obj = json.loads(text)
-    if "d" in obj:
-        return CoreVector(obj["n"], obj["d"], tuple(obj["x"]))
-    return DiagVector(obj["n"], obj["e"], tuple(obj["x"]))

@@ -1,23 +1,25 @@
-"""Exact distributions of the family statistics via big-integer DP.
+"""Exact distributions and moments of the family statistics.
 
-Engines:
-  * length over the core family: fold of independent uniform{0..d} coords.
-  * length/size over the strict family: DP over positions whose state is
-    (was previous entry nonzero, running sums); the size statistic is
-    reconstructed at the end as S = (V - A^2)/2 from A = sum(x_i) and
-    V = sum(n*x_i^2 + (2i-n+1)*x_i), both tracked exactly.
-  * power sums over the self-conjugate family: the antipodal coordinate
-    pairs are independent, so the distribution is a product of per-pair
-    convolutions (the middle coordinate of odd n is pinned to zero).
+Each family is a small coordinate automaton (`_automaton`): iid coordinates
+in {0..d} (core), a free/blocked chain where a nonzero entry blocks the next
+(strict), or iid antipodal pairs with the middle coordinate of odd n pinned
+to zero (selfconj).  A coordinate adds a contribution with one entry per
+lane: x for length, hook power runs for the selfconj power sums, and the
+pair (A, V) = (x, n*x^2 + (2i-n+1)*x) for size over core/strict, which is
+read back at the end as S = (V - A^2)/2.
 
-The moment engine (`power_sums`, `moment_report`) never builds a pmf: it
-folds the same family automata over exact power sums of the statistic.
+The automaton feeds two folds:
+  * `_fold_pmf` carries exact atom weights per state (`dist_statistic`);
+    the two size lanes share one packed integer key V*M + A.
+  * `_fold_power_sums` carries exact power sums per state (`power_sums`,
+    `moment_report`), so the moment engine never builds a pmf.
 
 All weights stay arbitrary-precision integers; floats appear only when a
 standardized moment is finally printed.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -30,17 +32,13 @@ from .distributions import (
     convolve,
     point_mass,
     round_half_away,
-    uniform_range,
 )
-from .families import FamilySpec, normalize_stat
+from .families import FamilySpec, enumerate_family, normalize_stat
 
 __all__ = [
     "DiscreteDist",
     "MomentReport",
     "convolve",
-    "dist_length",
-    "dist_size",
-    "dist_power_sum_selfconj",
     "dist_statistic",
     "moments",
     "moment_report",
@@ -50,51 +48,69 @@ __all__ = [
     "legal_supports",
 ]
 
-
-def dist_length(spec: FamilySpec) -> DiscreteDist:
-    """Exact pmf of sum(x_i) over the uniform family."""
-    n, cap = spec.n, spec.cap
-    if spec.family == "core":
-        acc = point_mass(0)
-        step = uniform_range(0, cap)
-        for _ in range(n - 1):
-            acc = convolve(acc, step)
-        return acc
-    if spec.family == "strict":
-        return _strict_fold(n, cap, lambda i, x: x)
-    return dist_power_sum_selfconj(n, cap, 0)
+# A pmf step that would touch more (atom, value) pairs than this is refused
+# before it runs; `moments` reaches such statistics without a pmf.
+PMF_STEP_LIMIT = 5_000_000
 
 
-def dist_size(spec: FamilySpec) -> DiscreteDist:
-    """Exact pmf of the size statistic over the uniform family."""
+def dist_statistic(spec: FamilySpec, stat) -> DiscreteDist:
+    """Exact pmf of a statistic over the uniform family: fold, then decode."""
+    states, steps, lanes = _automaton(spec, stat)
+    radix = _radix(spec)
+    packed = (
+        [(src, dst, [_pack(c, radix) for c in values]) for src, dst, values in transitions]
+        for transitions in steps
+    )
+    label = f"family {spec.family}, stat {stat}, n {spec.n}, cap {spec.cap}"
+    return DiscreteDist(_unpack(_fold_pmf(states, packed, label), lanes, radix))
+
+
+def _automaton(spec: FamilySpec, stat):
+    """(states, steps, lanes): the family as a coordinate automaton for `stat`.
+
+    `steps` yields, per coordinate, transitions (src, dst, values): every
+    value the coordinate may take from state src into state dst, given as
+    its contribution, a tuple with one entry per lane.  State 0 starts and
+    every state accepts.
+    """
+    kind, k = normalize_stat(stat)
     n, cap = spec.n, spec.cap
     if spec.family == "selfconj":
-        return dist_power_sum_selfconj(n, cap, 1)
+        k = {"length": 0, "durfee": 0, "size": 1}.get(kind, k)
+        pairs = range(1, n // 2 + 1)
+        return 1, ([(0, 0, [(v,) for v in _pair_values(n, cap, k, i)])] for i in pairs), 1
+    if kind not in ("length", "size"):
+        raise ValueError(f"statistic {stat!r} has no engine for family {spec.family!r}")
+    contribution, lanes = _contribution(n, kind)
     if spec.family == "core":
-        return _size_from_av(_core_av_layers(n, cap))
-    return _size_from_av(_strict_av_layers(n, cap))
+        steps = ([(0, 0, [contribution(i, x) for x in range(cap + 1)])] for i in range(1, n))
+        return 1, steps, lanes
+    # strict: state 1 is "blocked", entered by a nonzero entry and left by a zero
+    steps = (
+        [
+            (0, 0, [contribution(i, 0)]),
+            (1, 0, [contribution(i, 0)]),
+            (0, 1, [contribution(i, x) for x in range(1, cap + 1)]),
+        ]
+        for i in range(1, n)
+    )
+    return 2, steps, lanes
 
 
-def dist_power_sum_selfconj(n: int, e: int, k: int) -> DiscreteDist:
-    """Exact pmf of the sum of k-th powers of the diagonal hooks.
+def _contribution(n: int, kind: str):
+    """(contribution(i, x), lanes): what coordinate i = x adds to length or size."""
+    if kind == "length":
+        return (lambda i, x: (x,)), 1
+    return (lambda i, x: (x, n * x * x + (2 * i - n + 1) * x)), 2
+
+
+def _pair_values(n: int, e: int, k: int, i: int) -> list[int]:
+    """Power-sum contribution of antipodal pair i, one entry per assignment.
 
     k=0 is the Durfee length (and the length statistic of the family),
     k=1 the size.  Pair i < n+1-i carries residues 2i-1 and 2n+1-2i; a run
     of length a in class r contributes r^k + (r+2n)^k + ... + (r+2(a-1)n)^k.
     """
-    if k < 0:
-        raise ValueError("power k must be non-negative")
-    acc = point_mass(0)
-    for i in range(1, n // 2 + 1):
-        pair: dict[int, int] = {}
-        for value in _pair_values(n, e, k, i):
-            pair[value] = pair.get(value, 0) + 1
-        acc = convolve(acc, DiscreteDist(pair))
-    return acc
-
-
-def _pair_values(n: int, e: int, k: int, i: int) -> list[int]:
-    """Power-sum contribution of antipodal pair i, one entry per assignment."""
     values = [0]
     for r in (2 * i - 1, 2 * n + 1 - 2 * i):
         run = 0
@@ -104,84 +120,60 @@ def _pair_values(n: int, e: int, k: int, i: int) -> list[int]:
     return values
 
 
-def dist_statistic(spec: FamilySpec, stat) -> DiscreteDist:
-    """Dispatch a statistic id to its DP engine."""
-    kind, k = normalize_stat(stat)
-    if kind == "length":
-        return dist_length(spec)
-    if kind == "size":
-        return dist_size(spec)
-    if spec.family != "selfconj":
-        raise ValueError(f"statistic {stat!r} has no engine for family {spec.family!r}")
-    if kind == "durfee":
-        return dist_power_sum_selfconj(spec.n, spec.cap, 0)
-    return dist_power_sum_selfconj(spec.n, spec.cap, k)
+def _radix(spec: FamilySpec) -> int:
+    """Packing radix M of the size lanes, the key being V*M + A.
+
+    0 <= A <= (n-1)*cap < M, and each V term x*(n*x + 2i - n + 1) is at
+    least (2i+1)*x >= 0, so sums of keys decode exactly by divmod.
+    """
+    return (spec.n - 1) * spec.cap + 1
 
 
-def _strict_fold(n: int, d: int, contribution) -> DiscreteDist:
-    """DP over positions for strict vectors, summing contribution(i, x_i)."""
-    free     = {0: 1}  # previous entry was zero (or at the start)
-    blocked: dict[int, int] = {}  # previous entry was nonzero
-    for i in range(1, n):
-        new_free: dict[int, int] = {}
-        new_blocked: dict[int, int] = {}
-        zero_c = contribution(i, 0)
-        for layer in (free, blocked):
-            for s, w in layer.items():
-                key = s + zero_c
-                new_free[key] = new_free.get(key, 0) + w
-        for x in range(1, d + 1):
-            c = contribution(i, x)
-            for s, w in free.items():
-                key = s + c
-                new_blocked[key] = new_blocked.get(key, 0) + w
-        free, blocked = new_free, new_blocked
-    out = dict(free)
-    for s, w in blocked.items():
-        out[s] = out.get(s, 0) + w
-    return DiscreteDist(out)
+def _pack(c: tuple[int, ...], radix: int) -> int:
+    return c[0] if len(c) == 1 else c[0] + radix * c[1]
 
 
-def _core_av_layers(n: int, d: int) -> dict[tuple[int, int], int]:
-    """Joint weights of (A, V) over the core family."""
-    layer = {(0, 0): 1}
-    for i in range(1, n):
-        nxt: dict[tuple[int, int], int] = {}
-        for (a, v), w in layer.items():
-            for x in range(d + 1):
-                key = (a + x, v + n * x * x + (2 * i - n + 1) * x)
-                nxt[key] = nxt.get(key, 0) + w
-        layer = nxt
-    return layer
-
-
-def _strict_av_layers(n: int, d: int) -> dict[tuple[int, int], int]:
-    """Joint weights of (A, V) over the strict family."""
-    free = {(0, 0): 1}
-    blocked: dict[tuple[int, int], int] = {}
-    for i in range(1, n):
-        new_free: dict[tuple[int, int], int] = {}
-        new_blocked: dict[tuple[int, int], int] = {}
-        for layer in (free, blocked):
-            for key, w in layer.items():
-                new_free[key] = new_free.get(key, 0) + w
-        for (a, v), w in free.items():
-            for x in range(1, d + 1):
-                key = (a + x, v + n * x * x + (2 * i - n + 1) * x)
-                new_blocked[key] = new_blocked.get(key, 0) + w
-        free, blocked = new_free, new_blocked
-    for key, w in blocked.items():
-        free[key] = free.get(key, 0) + w
-    return free
-
-
-def _size_from_av(layer: dict[tuple[int, int], int]) -> DiscreteDist:
+def _unpack(atoms: dict[int, int], lanes: int, radix: int) -> dict[int, int]:
+    """Statistic weights from packed-key weights; size is S = (V - A^2)/2."""
+    if lanes == 1:
+        return atoms
     out: dict[int, int] = {}
-    for (a, v), w in layer.items():
+    for key, w in atoms.items():
+        v, a = divmod(key, radix)
         num = v - a * a
         assert num % 2 == 0
         out[num // 2] = out.get(num // 2, 0) + w
-    return DiscreteDist(out)
+    return out
+
+
+def _fold_pmf(states: int, steps, label: str) -> dict[int, int]:
+    """Packed-key weights over every path (all states accept).
+
+    `steps` yields, per coordinate, transitions (src, dst, keys); each key
+    is added to every atom of state src and the sum lands in state dst.
+    """
+    layer = [{0: 1}] + [{} for _ in range(states - 1)]
+    for transitions in steps:
+        moves = [(src, dst, Counter(keys)) for src, dst, keys in transitions]
+        work = sum(len(layer[src]) * len(keys) for src, _, keys in moves)
+        if work > PMF_STEP_LIMIT:
+            raise ValueError(
+                f"pmf of {label} refused: one DP step needs {work} atom updates, over "
+                f"PMF_STEP_LIMIT = {PMF_STEP_LIMIT}; `moments` gives its moments without the pmf"
+            )
+        nxt: list[dict[int, int]] = [{} for _ in range(states)]
+        for src, dst, keys in moves:
+            atoms, out = layer[src].items(), nxt[dst]
+            for c, m in keys.items():
+                for s, w in atoms:
+                    key = s + c
+                    out[key] = out.get(key, 0) + w * m
+        layer = nxt
+    merged = layer[0]
+    for atoms in layer[1:]:
+        for s, w in atoms.items():
+            merged[s] = merged.get(s, 0) + w
+    return merged
 
 
 @dataclass(frozen=True)
@@ -243,13 +235,11 @@ def _std_sq(central: tuple[Fraction, ...], k: int) -> tuple[int, Fraction]:
 
 # ---------------------------------------------------------- moment engine
 #
-# Each family is a small automaton over its coordinates: one state with iid
-# values (core), a free/blocked chain where a nonzero entry blocks the next
-# (strict), or one state with iid antipodal pairs (selfconj).  A coordinate
-# adds a contribution vector c to a running vector C, so the fold carries,
-# per state, the mixed power sums M[e] = sum over paths of prod_t C_t^e_t for
-# e in a downward-closed index set.  Appending values with power sums
-# U[g] = sum_c prod_t c_t^g_t updates them by the binomial rule
+# A coordinate of the automaton adds a contribution vector c to a running
+# vector C, so the fold carries, per state, the mixed power sums
+# M[e] = sum over paths of prod_t C_t^e_t for e in a downward-closed index
+# set.  Appending values with power sums U[g] = sum_c prod_t c_t^g_t updates
+# them by the binomial rule
 #     M'[e] = sum_{f <= e} prod_t C(e_t, f_t) * M[f] * U[e - f].
 
 # The fold's plan holds sum over the index of prod_t (e_t + 1) terms, and
@@ -262,31 +252,20 @@ FOLD_PLAN_LIMIT = 20_000
 def power_sums(spec: FamilySpec, stat, k_max: int) -> list[int]:
     """[sum of s^j over the family, j = 0..k_max] for the statistic s; no pmf.
 
-    Length and the selfconj power sums carry one contribution.  Size over
-    core/strict carries (A, V) with A = sum(x_i), V = sum(n*x_i^2 +
-    (2i-n+1)*x_i), and sums A^p V^q for p + 2q <= 2*k_max; then
+    Length and the selfconj power sums carry one lane.  Size over
+    core/strict carries (A, V) and sums A^p V^q for p + 2q <= 2*k_max; then
     S = (V - A^2)/2 gives sum S^j = 2^-j sum_m C(j,m) (-1)^m sum A^2m V^(j-m).
     Orders whose fold plan exceeds FOLD_PLAN_LIMIT are read off the pmf.
     """
-    kind, k = normalize_stat(stat)
-    n, cap = spec.n, spec.cap
-    index = [(j,) for j in range(k_max + 1)]
-    if spec.family == "selfconj":
-        k = {"length": 0, "durfee": 0, "size": 1}.get(kind, k)
-        states, steps = 1, (
-            [(0, 0, [(v,) for v in _pair_values(n, cap, k, i)])] for i in range(1, n // 2 + 1)
-        )
-    elif kind == "length":
-        states, steps = _coordinate_steps(spec, lambda i, x: (x,))
-    elif kind == "size":
-        index = [(p, q) for q in range(k_max + 1) for p in range(2 * (k_max - q) + 1)]
-        states, steps = _coordinate_steps(spec, lambda i, x: (x, n * x * x + (2 * i - n + 1) * x))
+    states, steps, lanes = _automaton(spec, stat)
+    if lanes == 1:
+        index = [(j,) for j in range(k_max + 1)]
     else:
-        raise ValueError(f"statistic {stat!r} has no engine for family {spec.family!r}")
+        index = [(p, q) for q in range(k_max + 1) for p in range(2 * (k_max - q) + 1)]
     if sum(prod(a + 1 for a in e) for e in index) > FOLD_PLAN_LIMIT:
         return dist_statistic(spec, stat).power_sums(k_max)
     sums = _fold_power_sums(states, steps, index)
-    if len(index[0]) == 1:
+    if lanes == 1:
         return sums
     mixed = dict(zip(index, sums))
     out = []
@@ -295,21 +274,6 @@ def power_sums(spec: FamilySpec, stat, k_max: int) -> list[int]:
         assert scaled % 2**j == 0
         out.append(scaled // 2**j)
     return out
-
-
-def _coordinate_steps(spec: FamilySpec, contribution):
-    """(states, steps) of the core or strict automaton; state 1 is 'blocked'."""
-    n, d = spec.n, spec.cap
-    if spec.family == "core":
-        return 1, ([(0, 0, [contribution(i, x) for x in range(d + 1)])] for i in range(1, n))
-    return 2, (
-        [
-            (0, 0, [contribution(i, 0)]),
-            (1, 0, [contribution(i, 0)]),
-            (0, 1, [contribution(i, x) for x in range(1, d + 1)]),
-        ]
-        for i in range(1, n)
-    )
 
 
 def _fold_power_sums(states: int, steps, index: list[tuple[int, ...]]) -> list[int]:
@@ -346,15 +310,8 @@ def _fold_power_sums(states: int, steps, index: list[tuple[int, ...]]) -> list[i
 
 def legal_supports(n: int) -> Iterator[tuple[int, ...]]:
     """Subsets of {1..n-1} with no two adjacent elements, the strict support patterns."""
-
-    def rec(start: int, acc: list[int]):
-        yield tuple(acc)
-        for i in range(start, n):
-            acc.append(i)
-            yield from rec(i + 2, acc)
-            acc.pop()
-
-    yield from rec(1, [])
+    for x in enumerate_family(FamilySpec("strict", n, 1)):
+        yield tuple(i for i, v in enumerate(x, start=1) if v)
 
 
 @dataclass(frozen=True)
@@ -386,11 +343,16 @@ def conditional_stat(spec: FamilySpec, stat, support) -> ConditionalStat:
         raise ValueError(f"support {t} not inside [1, {spec.n - 1}]")
 
     n, d = spec.n, spec.cap
+    contribution, lanes = _contribution(n, kind)
+    radix = _radix(spec)
+    law = point_mass(0)
+    for i in t:  # the support's coordinates are independent
+        step = {_pack(contribution(i, x), radix): 1 for x in range(1, d + 1)}
+        law = convolve(law, DiscreteDist(step))
+    dist = DiscreteDist(_unpack(law.atoms, lanes, radix))
     if kind == "length":
-        dist = _conditional_length(d, t)
         closed_mean, closed_var = _closed_forms_length(d, t)
     else:
-        dist = _conditional_size(n, d, t)
         closed_mean, closed_var = _closed_forms_size(n, d, t)
     mean, var = dist.mean(), dist.variance()
     if (mean, var) != (closed_mean, closed_var):
@@ -399,25 +361,6 @@ def conditional_stat(spec: FamilySpec, stat, support) -> ConditionalStat:
             f"({mean}, {var}) vs ({closed_mean}, {closed_var})"
         )
     return ConditionalStat(dist, mean, var, closed_mean, closed_var)
-
-
-def _conditional_length(d: int, t: tuple[int, ...]) -> DiscreteDist:
-    acc = point_mass(0)
-    for _ in t:
-        acc = convolve(acc, uniform_range(1, d))
-    return acc
-
-
-def _conditional_size(n: int, d: int, t: tuple[int, ...]) -> DiscreteDist:
-    layer = {(0, 0): 1}
-    for i in t:
-        nxt: dict[tuple[int, int], int] = {}
-        for (a, v), w in layer.items():
-            for x in range(1, d + 1):
-                key = (a + x, v + n * x * x + (2 * i - n + 1) * x)
-                nxt[key] = nxt.get(key, 0) + w
-        layer = nxt
-    return _size_from_av(layer)
 
 
 def _closed_forms_length(d: int, t: tuple[int, ...]) -> tuple[Fraction, Fraction]:

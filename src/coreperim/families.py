@@ -62,75 +62,43 @@ def enumerate_family(spec: FamilySpec, limit: int = ENUMERATION_LIMIT) -> Iterat
     total = count_family(spec)
     if total > limit:
         raise FamilyTooLargeError(f"{spec} has {total} elements, limit is {limit}")
+    choices, width = _choices(spec), spec.width
+    stack = [0] * width
+
+    def rec(i):
+        if i == width:
+            yield tuple(stack)
+            return
+        for v in choices(stack, i):
+            stack[i] = v
+            yield from rec(i + 1)
+
+    yield from rec(0)
+
+
+def _choices(spec: FamilySpec):
+    """choices(prefix, i): the values coordinate i may take after prefix[:i]."""
+    n, free = spec.n, range(spec.cap + 1)
     if spec.family == "core":
-        yield from _lex_core(spec.n, spec.cap)
-    elif spec.family == "strict":
-        yield from _lex_strict(spec.n, spec.cap)
-    else:
-        yield from _lex_selfconj(spec.n, spec.cap)
+        return lambda prefix, i: free
+    if spec.family == "strict":
+        # a nonzero entry forces the next one to zero
+        return lambda prefix, i: free if i == 0 or prefix[i - 1] == 0 else (0,)
 
-
-def _lex_core(n: int, d: int) -> Iterator[tuple[int, ...]]:
-    width = n - 1
-    stack = [0] * width
-
-    def rec(i):
-        if i == width:
-            yield tuple(stack)
-            return
-        for v in range(d + 1):
-            stack[i] = v
-            yield from rec(i + 1)
-
-    yield from rec(0)
-
-
-def _lex_strict(n: int, d: int) -> Iterator[tuple[int, ...]]:
-    width = n - 1
-    stack = [0] * width
-
-    def rec(i):
-        if i == width:
-            yield tuple(stack)
-            return
-        choices = range(d + 1) if i == 0 or stack[i - 1] == 0 else (0,)
-        for v in choices:
-            stack[i] = v
-            yield from rec(i + 1)
-
-    yield from rec(0)
-
-
-def _lex_selfconj(n: int, e: int) -> Iterator[tuple[int, ...]]:
-    stack = [0] * n
-
-    def rec(i):
-        if i == n:
-            yield tuple(stack)
-            return
+    def selfconj(prefix, i):
+        # x_i * x_{n+1-i} = 0, so the middle coordinate of odd n is zero
         partner = n - 1 - i
-        if partner < i and stack[partner] != 0:
-            choices = (0,)
-        elif partner == i:
-            choices = (0,)
-        else:
-            choices = range(e + 1)
-        for v in choices:
-            stack[i] = v
-            yield from rec(i + 1)
+        return (0,) if partner == i or (partner < i and prefix[partner]) else free
 
-    yield from rec(0)
+    return selfconj
 
 
 def member(spec: FamilySpec, x: tuple[int, ...]) -> bool:
     """Membership predicate for a raw tuple."""
-    if len(x) != spec.width or any(not 0 <= v <= spec.cap for v in x):
+    if len(x) != spec.width:
         return False
-    if spec.family == "strict":
-        return all(a * b == 0 for a, b in zip(x, x[1:]))
-    if spec.family == "selfconj":
-        return all(x[i] * x[spec.n - 1 - i] == 0 for i in range(spec.n))
-    return True
+    choices = _choices(spec)
+    return all(v in choices(x, i) for i, v in enumerate(x))
 
 
 def strict_suffix_counts(n: int, d: int) -> list[int]:

@@ -134,6 +134,34 @@ def test_diff_header_mismatch(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("text", ["", "# comment only\n\n"])
+def test_diff_against_a_golden_file_without_rows(tmp_path, capsys, text):
+    golden = tmp_path / "empty.csv"
+    golden.write_text(text)
+    code, out, err = run(
+        capsys, "moments", "--family", "core", "--stat", "length",
+        "--d", "1", "--n", "6..7", "--k", "3..3", "--diff", str(golden),
+    )
+    assert code == 2
+    assert out.startswith("k,6,7")
+    assert err == f"diff: golden file {golden} has no table rows\n"
+
+
+def test_dist_over_the_step_limit_is_refused():
+    # in a child process: the refused fold still holds ~230 MB of atoms
+    proc = subprocess.run(
+        [sys.executable, "-m", "coreperim.cli", "dist", "--family", "selfconj",
+         "--stat", "power:3", "--e", "2", "--n", "40"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    (line,) = proc.stderr.splitlines()
+    assert line.startswith("error: ") and "Traceback" not in proc.stderr
+    for part in ("family selfconj", "stat power:3", "n 40", "cap 2", "moments"):
+        assert part in line
+
+
 def test_dist_output(capsys):
     code, out, _ = run(capsys, "dist", "--family", "strict", "--stat", "length",
                        "--d", "2", "--n", "12")

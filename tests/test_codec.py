@@ -14,14 +14,10 @@ from coreperim.codec import (
     diagonal_hooks,
     encode_core,
     encode_selfconj,
-    format_vector,
-    parse_vector,
     stat_durfee,
     stat_length,
     stat_power_sum,
     stat_size,
-    vector_from_json,
-    vector_to_json,
 )
 from coreperim.partitions import (
     conjugate,
@@ -156,18 +152,3 @@ def test_decoded_selfconj_really_conjugate_fixed():
     for v in all_diag_vectors(6, 2):
         p = decode_selfconj(v)
         assert conjugate(p) == p
-
-
-def test_parse_format_json():
-    for v in (
-        CoreVector(4, 3, (3, 0, 1)),
-        CoreVector(2, 0, (0,)),
-        DiagVector(5, 2, (2, 0, 0, 1, 0)),
-    ):
-        text, header = format_vector(v)
-        assert parse_vector(text, header) == v
-        assert vector_from_json(vector_to_json(v)) == v
-    assert parse_vector("3,0,1", "n=4 d=3") == CoreVector(4, 3, (3, 0, 1))
-    assert parse_vector("1,0,0", "n=3 e=2") == DiagVector(3, 2, (1, 0, 0))
-    with pytest.raises(ValueError):
-        parse_vector("1,2", "n=4 d=1")  # entry above cap

@@ -3,14 +3,12 @@ from itertools import product
 
 import pytest
 
+from coreperim import exactdist
 from coreperim.distributions import DiscreteDist, point_mass
 from coreperim.exactdist import (
     ConditionalStat,
     MomentReport,
     conditional_stat,
-    dist_length,
-    dist_power_sum_selfconj,
-    dist_size,
     dist_statistic,
     legal_supports,
     mixture_identity_check,
@@ -49,24 +47,25 @@ def test_dist_totals_are_family_counts():
         for n in (5, 8, 11):
             for cap in (1, 2, 3):
                 spec = FamilySpec(family, n, cap)
-                assert dist_length(spec).total == count_family(spec)
-                assert dist_size(spec).total == count_family(spec)
+                assert dist_statistic(spec, "length").total == count_family(spec)
+                assert dist_statistic(spec, "size").total == count_family(spec)
 
 
 def test_core_size_by_hand_n2():
     # single coordinate x: size is the triangular number x(x+1)/2
-    d = dist_size(FamilySpec("core", 2, 3))
+    d = dist_statistic(FamilySpec("core", 2, 3), "size")
     assert d.atoms == {0: 1, 1: 1, 3: 1, 6: 1}
 
 
 def test_selfconj_power_by_hand_n3():
     # vectors (a,0,c), a*c = 0; runs give diagonal hooks {1,7} and {5,11}
-    d = dist_power_sum_selfconj(3, 2, 1)
+    spec = FamilySpec("selfconj", 3, 2)
+    d = dist_statistic(spec, "power:1")
     assert d.atoms == {0: 1, 1: 1, 5: 1, 8: 1, 16: 1}
-    d0 = dist_power_sum_selfconj(3, 2, 0)
+    d0 = dist_statistic(spec, "power:0")
     assert d0.atoms == {0: 1, 1: 2, 2: 2}
     with pytest.raises(ValueError):
-        dist_power_sum_selfconj(3, 2, -1)
+        dist_statistic(spec, "power:-1")
 
 
 def test_dist_statistic_dispatch_errors():
@@ -76,11 +75,24 @@ def test_dist_statistic_dispatch_errors():
         dist_statistic(FamilySpec("strict", 5, 2), "power:2")
 
 
+def test_pmf_step_limit_refuses_before_the_step(monkeypatch):
+    # core length d=3, n=6: step j meets 3j+1 atoms times 4 values, 52 at the last
+    spec = FamilySpec("core", 6, 3)
+    monkeypatch.setattr(exactdist, "PMF_STEP_LIMIT", 52)
+    assert dist_statistic(spec, "length").total == 4**5
+    monkeypatch.setattr(exactdist, "PMF_STEP_LIMIT", 51)
+    with pytest.raises(ValueError) as err:
+        dist_statistic(spec, "length")
+    msg = str(err.value)
+    assert "\n" not in msg
+    assert all(part in msg for part in ("family core", "stat length", "n 6", "cap 3", "moments"))
+
+
 def test_core_length_is_symmetric_sum():
     # sum of n-1 iid uniform{0..d}: odd central moments vanish exactly
     for n in (4, 7):
         for d in (1, 3):
-            dist = dist_length(FamilySpec("core", n, d))
+            dist = dist_statistic(FamilySpec("core", n, d), "length")
             assert dist.mean() == Fraction((n - 1) * d, 2)
             assert dist.variance() == Fraction((n - 1) * (d * d + 2 * d), 12)
             ms = dist.central_moments(7)
@@ -147,9 +159,9 @@ def test_moment_engine_matches_pmf_on_oracle_grid():
 def test_power_sums_past_the_plan_limit_and_errors():
     # orders whose fold plan is too large are read off the pmf instead
     spec = FamilySpec("strict", 9, 2)
-    assert power_sums(spec, "size", 18) == dist_size(spec).power_sums(18)
-    assert power_sums(spec, "length", 18) == dist_length(spec).power_sums(18)
-    assert power_sums(spec, "length", 200) == dist_length(spec).power_sums(200)
+    assert power_sums(spec, "size", 18) == dist_statistic(spec, "size").power_sums(18)
+    assert power_sums(spec, "length", 18) == dist_statistic(spec, "length").power_sums(18)
+    assert power_sums(spec, "length", 200) == dist_statistic(spec, "length").power_sums(200)
     with pytest.raises(ValueError):
         power_sums(FamilySpec("core", 5, 2), "durfee", 4)
     with pytest.raises(ValueError):
