@@ -8,9 +8,19 @@ independent Bernoulli variables and buys sub-Gaussian lower tails.
 Root finding here is certified, not numeric: roots of the derivative are
 isolated recursively, consecutive critical intervals are refined until the
 polynomial has a known sign on each, and every sign change then brackets
-exactly one simple root.  All interval arithmetic is over Fraction with
-integer sign evaluations, so a returned certificate is a proof, and a
+exactly one simple root.  A returned certificate is a proof, and a
 polynomial that is not real-rooted fails loudly instead of quietly.
+
+The arithmetic is integer throughout.  A bracket is held as integers
+(a, b, S) with lo = a/S, hi = b/S and S > 0; its midpoint is (a + b)/(2S),
+so bisection needs no gcd, and a Fraction is built only for the returned
+certificate.  Signs come from `_sign`, a filter in the manner of
+Shewchuk's adaptive predicates: Horner at fixed point with a proven error
+bound decides the sign when the approximation clears the bound, and exact
+integer Horner decides it otherwise, so every sign is exact.  Rounds,
+midpoints and the stopping rule are those of plain Fraction bisection and
+every sign is the exact one, so the brackets equal, value for value, the
+ones Fraction arithmetic gives.
 """
 from __future__ import annotations
 
@@ -23,7 +33,8 @@ from typing import Iterable, Sequence
 from .distributions import DiscreteDist
 
 _REFINE_ROUNDS = 256
-_REL_WIDTH = Fraction(1, 10**13)
+_WIDTH_SCALE = 10**13  # refine to relative width 1 / _WIDTH_SCALE
+_FILTER_BITS = 160  # P, the fixed-point precision of the sign filter
 
 
 class RealRootednessError(ValueError):
@@ -46,70 +57,97 @@ class PFSequence:
     def degree(self) -> int:
         return len(self.coefficients) - 1
 
-    def evaluate(self, q: Fraction) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coefficients):
-            acc = acc * q + c
-        return acc
-
 
 def _derivative(coeffs: Sequence[int]) -> tuple[int, ...]:
     return tuple(k * coeffs[k] for k in range(1, len(coeffs)))
 
 
-def _eval_sign(coeffs: Sequence[int], q: Fraction) -> int:
-    # sign of p(q) via the integer den^m * p(num/den)
-    num, den = q.numerator, q.denominator
+def _sign(coeffs: Sequence[int], num: int, den: int) -> int:
+    """Exact sign of p(num/den) for den > 0.
+
+    Filter: for x = num/den, X = floor(x 2^P) and floor shifts, Horner computes
+    H_m = a_m 2^P, H_k = floor(H_{k+1} X / 2^P) + a_k 2^P.  Write
+    x~ = X / 2^P = x + eps, -2^-P < eps <= 0, h_k for the exact Horner
+    values of p at x (h_0 = p(x)) and e_k = H_k / 2^P - h_k.  Each step
+    drops a floor part delta_k in [0, 2^-P), so e_m = 0 and
+    e_k = e_{k+1} x~ + h_{k+1} eps - delta_k, whence
+    e_0 = sum_{k<m} x~^k (h_{k+1} eps - delta_k).  With T = floor|x| + 2,
+    both |x| and |x~| are below T, and |h_{k+1}| <= sum_{j>k} |a_j| T^(j-k-1),
+    so |e_0| <= 2^-P (sum_{k<m} T^k + sum_k T^k |h_{k+1}|)
+               <= 2^-P (m T^(m-1) + sum_j j |a_j| T^(j-1)) = 2^-P B.
+    Thus |H_0 - 2^P p(x)| <= B, and |H_0| > B gives sign p(x) = sign H_0.
+    A root of p has |H_0| <= B, so a zero is always left to the exact
+    branch: the integer Horner of den^m p(num/den).
+    """
+    shift = _FILTER_BITS
+    m = len(coeffs) - 1
+    x = (num << shift) // den
+    acc = coeffs[m] << shift
+    for k in range(m - 1, -1, -1):
+        acc = ((acc * x) >> shift) + (coeffs[k] << shift)
+    t = abs(num) // den + 2
+    bound = m * (abs(coeffs[m]) + 1)  # B by Horner in t
+    for k in range(m - 1, 0, -1):
+        bound = bound * t + k * abs(coeffs[k])
+    if acc > bound:
+        return 1
+    if acc < -bound:
+        return -1
     acc = 0
     dp = 1
-    for k in range(len(coeffs) - 1, -1, -1):
+    for k in range(m, -1, -1):
         acc = acc * num + coeffs[k] * dp
         dp *= den
     return (acc > 0) - (acc < 0)
 
 
-def _root_bound(coeffs: Sequence[int]) -> Fraction:
-    # Cauchy: every root has |z| < 1 + max|a_i| / |a_m|
-    return 1 + Fraction(max(abs(c) for c in coeffs[:-1]), abs(coeffs[-1]))
+def _root_bound(coeffs: Sequence[int]) -> tuple[int, int]:
+    # Cauchy: every root has |z| < 1 + max|a_i| / |a_m|, as (numerator, denominator)
+    lead = abs(coeffs[-1])
+    return lead + max(abs(c) for c in coeffs[:-1]), lead
 
 
 def _bisect_once(coeffs: Sequence[int], br: list) -> None:
-    # br = [lo, hi, sign(lo), sign(hi)] with differing nonzero signs
-    lo, hi, s_lo, s_hi = br
-    mid = (lo + hi) / 2
-    s = _eval_sign(coeffs, mid)
+    # br = [a, b, S, sign at a/S, sign at b/S] with differing nonzero signs
+    a, b, den, s_lo, s_hi = br
+    mid = a + b
+    den *= 2
+    s = _sign(coeffs, mid, den)
     if s == 0:
-        br[:] = [mid, mid, 0, 0]
+        br[:] = [mid, mid, den, 0, 0]
     elif s == s_lo:
-        br[:] = [mid, hi, s, s_hi]
+        br[:] = [mid, 2 * b, den, s, s_hi]
     else:
-        br[:] = [lo, mid, s_lo, s]
+        br[:] = [2 * a, mid, den, s_lo, s]
 
 
 def _isolate(coeffs: Sequence[int]) -> list[tuple]:
     """Disjoint increasing intervals, each holding one simple real root.
 
-    Entries are (lo, hi, sign at lo, sign at hi) with signs taken for this
-    polynomial; exact rational roots collapse to (r, r, 0, 0).  Raises
-    RealRootednessError if degree-many simple real roots cannot be
-    certified (multiple root, or roots off the real line).
+    Entries are (a, b, S, sign at a/S, sign at b/S) for the interval
+    [a/S, b/S], S > 0, with signs taken for this polynomial; exact rational
+    roots collapse to (r, r, S, 0, 0).  Raises RealRootednessError if
+    degree-many simple real roots cannot be certified (multiple root, or
+    roots off the real line).
     """
     m = len(coeffs) - 1
     if m <= 0:
         return []
     if m == 1:
-        r = Fraction(-coeffs[0], coeffs[1])
-        return [(r, r, 0, 0)]
+        num, den = -coeffs[0], coeffs[1]
+        if den < 0:
+            num, den = -num, -den
+        return [(num, num, den, 0, 0)]
     dco = _derivative(coeffs)
     # child brackets carry dco signs, exactly what bisection on dco needs
     crit = [list(t) for t in _isolate(dco)]
-    bound = _root_bound(coeffs)
-    s_left = _eval_sign(coeffs, -bound)
-    s_right = _eval_sign(coeffs, bound)
+    bound, bound_den = _root_bound(coeffs)
+    s_left = _sign(coeffs, -bound, bound_den)
+    s_right = _sign(coeffs, bound, bound_den)
     for _ in range(_REFINE_ROUNDS):
         sites = _critical_signs(coeffs, crit)
         if sites is not None:
-            found = _sign_changes(sites, bound, s_left, s_right)
+            found = _sign_changes(sites, bound, bound_den, s_left, s_right)
             if len(found) == m:
                 return found
         for br in crit:
@@ -119,44 +157,47 @@ def _isolate(coeffs: Sequence[int]) -> list[tuple]:
 
 
 def _critical_signs(coeffs, crit):
-    """(lo, hi, sign of p near the critical point), or None to refine more."""
+    """(a, b, S, sign of p near the critical point), or None to refine more."""
     sites = []
-    for lo, hi, _, _ in crit:
-        if lo == hi:
-            s = _eval_sign(coeffs, lo)
+    for a, b, den, _, _ in crit:
+        if a == b:
+            s = _sign(coeffs, a, den)
             if s == 0:
                 raise RealRootednessError("multiple root")
-            sites.append((lo, hi, s))
+            sites.append((a, b, den, s))
             continue
-        s_lo = _eval_sign(coeffs, lo)
-        s_hi = _eval_sign(coeffs, hi)
+        s_lo = _sign(coeffs, a, den)
+        s_hi = _sign(coeffs, b, den)
         if s_lo == s_hi and s_lo != 0:
-            sites.append((lo, hi, s_lo))
+            sites.append((a, b, den, s_lo))
         else:
             return None
     return sites
 
 
-def _sign_changes(sites, bound, s_left, s_right):
-    pts = [(-bound, -bound, s_left)] + sites + [(bound, bound, s_right)]
+def _sign_changes(sites, bound, bound_den, s_left, s_right):
+    pts = [(-bound, -bound, bound_den, s_left)] + sites + [(bound, bound, bound_den, s_right)]
     out = []
-    for (_, u1, s1), (l2, _, s2) in zip(pts, pts[1:]):
+    for (_, u1, d1, s1), (l2, _, d2, s2) in zip(pts, pts[1:]):
         if s1 != 0 and s2 != 0 and s1 != s2:
-            out.append((u1, l2, s1, s2))
+            den = math.lcm(d1, d2)
+            out.append((u1 * (den // d1), l2 * (den // d2), den, s1, s2))
     return out
 
 
-def _refine(coeffs, lo, hi, s_lo, s_hi):
-    while hi - lo > _REL_WIDTH * max(1, abs(lo), abs(hi)):
-        mid = (lo + hi) / 2
-        s = _eval_sign(coeffs, mid)
+def _refine(coeffs, a, b, den, s_lo):
+    # hi - lo > max(1, |lo|, |hi|) / _WIDTH_SCALE, multiplied through by S
+    while (b - a) * _WIDTH_SCALE > max(den, abs(a), abs(b)):
+        mid = a + b
+        den *= 2
+        s = _sign(coeffs, mid, den)
         if s == 0:
-            return mid, mid
+            return mid, mid, den
         if s == s_lo:
-            lo = mid
+            a, b = mid, 2 * b
         else:
-            hi = mid
-    return lo, hi
+            a, b = 2 * a, mid
+    return a, b, den
 
 
 @dataclass(frozen=True)
@@ -183,11 +224,13 @@ def pf_real_roots(seq: PFSequence | Iterable[int]) -> tuple[list[float], RootCer
     coeffs = tuple(seq.coefficients if isinstance(seq, PFSequence) else seq)
     if len(coeffs) < 2:
         return [], RootCertificate(degree=0, brackets=())
+    if coeffs[-1] == 0:
+        raise ValueError("need a nonzero leading coefficient")
     refined = []
-    for lo, hi, s_lo, s_hi in _isolate(coeffs):
-        if lo != hi:
-            lo, hi = _refine(coeffs, lo, hi, s_lo, s_hi)
-        refined.append((lo, hi))
+    for a, b, den, s_lo, _ in _isolate(coeffs):
+        if a != b:
+            a, b, den = _refine(coeffs, a, b, den, s_lo)
+        refined.append((Fraction(a, den), Fraction(b, den)))
     cert = RootCertificate(degree=len(coeffs) - 1, brackets=tuple(refined))
     roots = [float((lo + hi) / 2) for lo, hi in refined]
     return roots, cert

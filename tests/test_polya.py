@@ -1,13 +1,17 @@
+import hashlib
 import math
 from fractions import Fraction
+from itertools import product
 from math import comb
 
 import pytest
+from hypothesis import given, strategies as st
 
 from coreperim.families import FamilySpec, count_family
 from coreperim.polya import (
     PFSequence,
     RealRootednessError,
+    _sign,
     bernoulli_decomposition,
     pf_real_roots,
     pf_tail_bound,
@@ -21,6 +25,28 @@ from coreperim.polya import (
 )
 
 
+def horner(coeffs, q):
+    """Exact p(q) over Fraction, the oracle for brackets and signs."""
+    acc = Fraction(0)
+    for c in reversed(coeffs):
+        acc = acc * q + c
+    return acc
+
+
+def exact_sign(coeffs, q):
+    v = horner(coeffs, q)
+    return (v > 0) - (v < 0)
+
+
+def times_linear(coeffs, num, den):
+    """Coefficients of (den z - num) * p(z), which vanishes at num/den."""
+    out = [0] * (len(coeffs) + 1)
+    for k, c in enumerate(coeffs):
+        out[k] -= num * c
+        out[k + 1] += den * c
+    return out
+
+
 def closed_roots(n, d):
     """Known root formula for the nonzero-count polynomial of the strict family."""
     deg = n // 2
@@ -32,8 +58,8 @@ def closed_roots(n, d):
 def test_pf_sequence_validation():
     s = PFSequence((1, 4, 3))
     assert s.degree == 2
-    assert s.evaluate(Fraction(-1)) == 0
-    assert s.evaluate(2) == 21
+    assert horner(s.coefficients, Fraction(-1)) == 0
+    assert horner(s.coefficients, 2) == 21
     with pytest.raises(ValueError):
         PFSequence((1, -2, 1))
     with pytest.raises(ValueError):
@@ -51,6 +77,12 @@ def test_real_rootedness_error_cases():
     with pytest.raises(RealRootednessError, match="multiple root"):
         pf_real_roots([1, 2, 1])
     assert issubclass(RealRootednessError, ValueError)
+
+
+def test_zero_leading_coefficient_is_refused():
+    for coeffs in ([1, 2, 0], [0, 0], [3, 0, 0]):
+        with pytest.raises(ValueError, match="need a nonzero leading coefficient"):
+            pf_real_roots(coeffs)
 
 
 def test_hand_polynomials():
@@ -73,16 +105,59 @@ def test_hand_polynomials():
 def test_certificate_brackets_are_exact_and_tight():
     roots, cert = pf_real_roots([1, 3, 1])
     assert len(cert.brackets) == cert.degree
-    seq = PFSequence((1, 3, 1))
     for root, (lo, hi) in zip(roots, cert.brackets):
         assert isinstance(lo, Fraction) and isinstance(hi, Fraction)
         assert lo <= Fraction(root) <= hi
         # sign change across the bracket, evaluated in exact arithmetic
-        assert seq.evaluate(lo) * seq.evaluate(hi) <= 0
+        assert horner((1, 3, 1), lo) * horner((1, 3, 1), hi) <= 0
         assert hi - lo <= abs(lo) * Fraction(1, 10**12)
     assert cert.all_negative
     assert cert.all_at_most(Fraction(-1, 4))
     assert not cert.all_at_most(Fraction(-1, 2))
+
+
+# every C08-grid bracket exactly as plain Fraction bisection gives it
+C08_BRACKETS_SHA256 = "b5737b21e6e739cfab3c8f9bce422eca4b15c3e89773c52f44efd8bb582695d0"
+
+
+def test_certificate_brackets_are_pinned():
+    joined = ";".join(
+        f"{lo}:{hi}"
+        for n, d in product(range(2, 41), (1, 2, 3))
+        for lo, hi in pf_real_roots(u_polynomial(n, d))[1].brackets
+    )
+    assert hashlib.sha256(joined.encode()).hexdigest() == C08_BRACKETS_SHA256
+    roots, cert = pf_real_roots(u_polynomial(4, 1))
+    assert cert.brackets == (
+        (Fraction(-23028470500347, 8796093022208), Fraction(-92113882001383, 35184372088832)),
+        (Fraction(-53756937060447, 140737488355328), Fraction(-13439234265109, 35184372088832)),
+    )
+    assert roots == [-2.6180339887499002, -0.3819660112500962]
+
+
+small_polys = st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=7)
+rationals = st.tuples(st.integers(-10**4, 10**4), st.integers(1, 10**4))
+
+
+@given(small_polys, rationals, st.integers(1, 50))
+def test_sign_filter_matches_exact_horner(coeffs, point, scale):
+    num, den = point
+    expect = exact_sign(coeffs, Fraction(num, den))
+    assert _sign(coeffs, num, den) == expect
+    # an unreduced fraction names the same point
+    assert _sign(coeffs, scale * num, scale * den) == expect
+
+
+@given(small_polys.filter(any), rationals, st.integers(-3, 3), st.integers(0, 2**64))
+def test_sign_filter_at_and_near_rational_roots(cofactor, root, side, salt):
+    num, den = root
+    coeffs = times_linear(cofactor, num, den)
+    assert _sign(coeffs, num, den) == 0
+    # within 2^-200 of the root, and near it with a large odd denominator
+    tiny = 2**200
+    big = 2**300 + 2 * salt + 1
+    for pn, pd in ((num * tiny + side * den, den * tiny), (num * big + side * den, den * big)):
+        assert _sign(coeffs, pn, pd) == exact_sign(coeffs, Fraction(pn, pd))
 
 
 def test_u_weights_and_polynomial():
