@@ -9,8 +9,20 @@ pair (A, V) = (x, n*x^2 + (2i-n+1)*x) for size over core/strict, which is
 read back at the end as S = (V - A^2)/2.
 
 The automaton feeds two folds:
-  * `_fold_pmf` carries exact atom weights per state (`dist_statistic`);
-    the two size lanes share one packed integer key V*M + A.
+  * `_fold_pmf` (`dist_statistic`) packs each layer by Kronecker
+    substitution.  Size is carried as (A, T) with T = (V - A)/2, a sum of
+    integer terms x*(n*x - n + 2i)/2 >= 0, and read back as
+    S = T - C(A, 2); the one-lane statistics are T with A = 0.  A layer is
+    one integer per (state, A) whose lane u, L bits wide, holds the weight
+    of the prefix paths whose zero extension has statistic u.  A
+    coordinate costs a few shifts and adds of whole integers, and the pmf
+    is read off the last layer's lanes through one `to_bytes`.
+    No lane carries: 0 is admissible from every state and adds nothing, so
+    each prefix path extends to a full path, distinct prefixes to distinct
+    paths.  A lane counts paths of one layer, so it never exceeds the
+    total path count N, and L = 8*ceil(bits(N)/8) gives N < 2^L.  The
+    fold's cost is bounded before its first step and refused above
+    PMF_BYTE_BUDGET.
   * `_fold_power_sums` carries exact power sums per state (`power_sums`,
     `moment_report`), so the moment engine never builds a pmf.
 
@@ -22,7 +34,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import compress, count, product
 from math import comb, prod
 from typing import Iterator
 
@@ -48,21 +60,25 @@ __all__ = [
     "legal_supports",
 ]
 
-# A pmf step that would touch more (atom, value) pairs than this is refused
-# before it runs; `moments` reaches such statistics without a pmf.
-PMF_STEP_LIMIT = 5_000_000
+# A pmf whose fold and decoded atoms could take more bytes than this is
+# refused before the fold's first step; `moments` reaches such statistics
+# without a pmf.  A decoded atom takes at most about _ATOM_BYTES: its dict
+# entries, DiscreteDist's sorted copy and a `dist` output line (250-300
+# measured at 3- to 12-byte weights).
+PMF_BYTE_BUDGET = 1280 << 20
+_ATOM_BYTES = 320
 
 
 def dist_statistic(spec: FamilySpec, stat) -> DiscreteDist:
-    """Exact pmf of a statistic over the uniform family: fold, then decode."""
+    """Exact pmf of a statistic over the uniform family: one lane fold."""
     states, steps, lanes = _automaton(spec, stat)
-    radix = _radix(spec)
-    packed = (
-        [(src, dst, [_pack(c, radix) for c in values]) for src, dst, values in transitions]
+    move = _move(lanes)
+    moves = [
+        [(src, dst, Counter(map(move, values))) for src, dst, values in transitions]
         for transitions in steps
-    )
+    ]
     label = f"family {spec.family}, stat {stat}, n {spec.n}, cap {spec.cap}"
-    return DiscreteDist(_unpack(_fold_pmf(states, packed, label), lanes, radix))
+    return DiscreteDist(_fold_pmf(states, moves, label))
 
 
 def _automaton(spec: FamilySpec, stat):
@@ -120,60 +136,79 @@ def _pair_values(n: int, e: int, k: int, i: int) -> list[int]:
     return values
 
 
-def _radix(spec: FamilySpec) -> int:
-    """Packing radix M of the size lanes, the key being V*M + A.
+def _move(lanes: int):
+    """Contribution -> (da, t), what a coordinate adds to a and to T.
 
-    0 <= A <= (n-1)*cap < M, and each V term x*(n*x + 2i - n + 1) is at
-    least (2i+1)*x >= 0, so sums of keys decode exactly by divmod.
+    A one-lane statistic is T itself, t = c, with a = 0.  Size carries
+    a = A and t = (V - A)/2 = x*(n*x - n + 2i)/2, an integer (n*x*(x-1) is
+    even) and >= 0; then S = (V - A^2)/2 = T - C(A, 2).
     """
-    return (spec.n - 1) * spec.cap + 1
-
-
-def _pack(c: tuple[int, ...], radix: int) -> int:
-    return c[0] if len(c) == 1 else c[0] + radix * c[1]
-
-
-def _unpack(atoms: dict[int, int], lanes: int, radix: int) -> dict[int, int]:
-    """Statistic weights from packed-key weights; size is S = (V - A^2)/2."""
     if lanes == 1:
-        return atoms
-    out: dict[int, int] = {}
-    for key, w in atoms.items():
-        v, a = divmod(key, radix)
-        num = v - a * a
-        assert num % 2 == 0
-        out[num // 2] = out.get(num // 2, 0) + w
-    return out
+        return lambda c: (0, c[0])
+    return lambda c: (c[0], (c[1] - c[0]) // 2)
 
 
-def _fold_pmf(states: int, steps, label: str) -> dict[int, int]:
-    """Packed-key weights over every path (all states accept).
+def _fold_pmf(states: int, steps: list, label: str) -> dict[int, int]:
+    """Weights of the statistic T - C(a, 2) over every path (all states accept).
 
-    `steps` yields, per coordinate, transitions (src, dst, keys); each key
-    is added to every atom of state src and the sum lands in state dst.
+    `steps` holds, per coordinate, transitions (src, dst, moves) with moves a
+    Counter of (da, t) -> multiplicity.  The layer keeps one integer P per
+    (state, a); its lane u, L bits wide, holds the weight of the prefix
+    paths whose zero extension has statistic u = T - C(a, 2).  A move takes
+    a to a + da and u to u + t - a*da - C(da, 2), so it adds m*P shifted by
+    that many lanes to (dst, a + da); a shift to the right drops only empty
+    lanes, as the new u is again the statistic of a member, so >= 0.  The
+    lanes of the sum of the last layer are the pmf, decoded through
+    `to_bytes`.  Lane width and budget: `_lane_bytes`.
     """
+    width = _lane_bytes(states, steps, label)
+    bits = 8 * width
     layer = [{0: 1}] + [{} for _ in range(states - 1)]
     for transitions in steps:
-        moves = [(src, dst, Counter(keys)) for src, dst, keys in transitions]
-        work = sum(len(layer[src]) * len(keys) for src, _, keys in moves)
-        if work > PMF_STEP_LIMIT:
-            raise ValueError(
-                f"pmf of {label} refused: one DP step needs {work} atom updates, over "
-                f"PMF_STEP_LIMIT = {PMF_STEP_LIMIT}; `moments` gives its moments without the pmf"
-            )
-        nxt: list[dict[int, int]] = [{} for _ in range(states)]
-        for src, dst, keys in moves:
-            atoms, out = layer[src].items(), nxt[dst]
-            for c, m in keys.items():
-                for s, w in atoms:
-                    key = s + c
-                    out[key] = out.get(key, 0) + w * m
+        nxt = [{} for _ in range(states)]
+        for src, dst, moves in transitions:
+            out = nxt[dst]
+            for a, p in layer[src].items():
+                for (da, t), m in moves.items():
+                    shift = bits * (t - a * da - comb(da, 2))
+                    p_m = p * m
+                    out[a + da] = out.get(a + da, 0) + (
+                        p_m << shift if shift >= 0 else p_m >> -shift
+                    )
         layer = nxt
-    merged = layer[0]
-    for atoms in layer[1:]:
-        for s, w in atoms.items():
-            merged[s] = merged.get(s, 0) + w
-    return merged
+    packed = sum(p for atoms in layer for p in atoms.values())
+    raw = packed.to_bytes(-(-packed.bit_length() // bits) * width, "little")
+    weights = [int.from_bytes(raw[j : j + width], "little") for j in range(0, len(raw), width)]
+    return dict(zip(compress(count(), weights), filter(None, weights)))
+
+
+def _lane_bytes(states: int, steps: list, label: str) -> int:
+    """L/8 = ceil(bits(N)/8), the lane width in bytes of `_fold_pmf`.
+
+    N, the path count, comes from a fold of plain counts; the module
+    docstring proves that no lane then carries.  Before that width is
+    returned the cost is bounded: with a_top and t_top the sums over the
+    steps of the largest da and t, a layer holds at most
+    states*(a_top + 1) integers of t_top + 1 lanes (0 <= u <= T), and the
+    pmf at most t_top + 1 atoms.  A request whose layer lanes plus atoms at
+    _ATOM_BYTES each exceed PMF_BYTE_BUDGET is refused.
+    """
+    counts = [1] + [0] * (states - 1)
+    for transitions in steps:
+        nxt = [0] * states
+        for src, dst, moves in transitions:
+            nxt[dst] += counts[src] * moves.total()
+        counts = nxt
+    width = -(-sum(counts).bit_length() // 8)
+    a_top = sum(max(da for *_, moves in tr for da, _ in moves) for tr in steps)
+    t_top = sum(max(t for *_, moves in tr for _, t in moves) for tr in steps)
+    need = (t_top + 1) * (states * (a_top + 1) * width + _ATOM_BYTES)
+    if need > PMF_BYTE_BUDGET:
+        raise ValueError(
+            f"pmf of {label} refused: it may need {need} bytes, over "
+            f"PMF_BYTE_BUDGET = {PMF_BYTE_BUDGET}; `moments` gives its moments without the pmf"
+        )
+    return width
 
 
 @dataclass(frozen=True)
@@ -361,6 +396,32 @@ def conditional_stat(spec: FamilySpec, stat, support) -> ConditionalStat:
             f"({mean}, {var}) vs ({closed_mean}, {closed_var})"
         )
     return ConditionalStat(dist, mean, var, closed_mean, closed_var)
+
+
+def _radix(spec: FamilySpec) -> int:
+    """Packing radix M of the size lanes, the key being V*M + A.
+
+    0 <= A <= (n-1)*cap < M, and each V term x*(n*x + 2i - n + 1) is at
+    least (2i+1)*x >= 0, so sums of keys decode exactly by divmod.
+    """
+    return (spec.n - 1) * spec.cap + 1
+
+
+def _pack(c: tuple[int, ...], radix: int) -> int:
+    return c[0] if len(c) == 1 else c[0] + radix * c[1]
+
+
+def _unpack(atoms: dict[int, int], lanes: int, radix: int) -> dict[int, int]:
+    """Statistic weights from packed-key weights; size is S = (V - A^2)/2."""
+    if lanes == 1:
+        return atoms
+    out: dict[int, int] = {}
+    for key, w in atoms.items():
+        v, a = divmod(key, radix)
+        num = v - a * a
+        assert num % 2 == 0
+        out[num // 2] = out.get(num // 2, 0) + w
+    return out
 
 
 def _closed_forms_length(d: int, t: tuple[int, ...]) -> tuple[Fraction, Fraction]:

@@ -34,15 +34,25 @@ def _cdf_integral(t: float) -> float:
 
 
 def _standardized_steps(dist: DiscreteDist):
-    """(standardized point, F(x-), F(x)) triples with float levels."""
+    """(standardized point, F(x-), F(x)) triples with float levels.
+
+    With N the total weight and s1 = sum v*w, the exact rationals x - mu =
+    (v*N - s1)/N and F = acc/N are rounded by int / int, which is correctly
+    rounded as float(Fraction) is, so no Fraction is needed per atom.
+    """
     var = dist.variance()
     if var == 0:
         raise ValueError("distance to normal needs positive variance")
-    mu = dist.mean()
     sigma = math.sqrt(float(var))
+    items = dist.items()
+    total = dist.total
+    s1 = sum(v * w for v, w in items)
     steps = []
-    for v, before, after in dist.cdf_steps():
-        steps.append((float(v - mu) / sigma, float(before), float(after)))
+    acc = 0
+    for v, w in items:
+        before = acc / total
+        acc += w
+        steps.append(((v * total - s1) / total / sigma, before, acc / total))
     return steps
 
 

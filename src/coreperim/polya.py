@@ -62,8 +62,18 @@ def _derivative(coeffs: Sequence[int]) -> tuple[int, ...]:
     return tuple(k * coeffs[k] for k in range(1, len(coeffs)))
 
 
-def _sign(coeffs: Sequence[int], num: int, den: int) -> int:
-    """Exact sign of p(num/den) for den > 0.
+def _bound_terms(coeffs: Sequence[int]) -> tuple[int, ...]:
+    """`_sign`'s error bound B as a polynomial in T, highest power first.
+
+    B = m T^(m-1) + sum_k k |a_k| T^(k-1) has coefficients m (|a_m| + 1),
+    then k |a_k| for k = m-1 .. 1; they are fixed per polynomial.
+    """
+    m = len(coeffs) - 1
+    return (m * (abs(coeffs[m]) + 1),) + tuple(k * abs(coeffs[k]) for k in range(m - 1, 0, -1))
+
+
+def _sign(coeffs: Sequence[int], num: int, den: int, terms: tuple[int, ...]) -> int:
+    """Exact sign of p(num/den) for den > 0; `terms` is `_bound_terms(coeffs)`.
 
     Filter: for x = num/den, X = floor(x 2^P) and floor shifts, Horner computes
     H_m = a_m 2^P, H_k = floor(H_{k+1} X / 2^P) + a_k 2^P.  Write
@@ -86,9 +96,9 @@ def _sign(coeffs: Sequence[int], num: int, den: int) -> int:
     for k in range(m - 1, -1, -1):
         acc = ((acc * x) >> shift) + (coeffs[k] << shift)
     t = abs(num) // den + 2
-    bound = m * (abs(coeffs[m]) + 1)  # B by Horner in t
-    for k in range(m - 1, 0, -1):
-        bound = bound * t + k * abs(coeffs[k])
+    bound = 0  # B by Horner in t
+    for c in terms:
+        bound = bound * t + c
     if acc > bound:
         return 1
     if acc < -bound:
@@ -107,12 +117,12 @@ def _root_bound(coeffs: Sequence[int]) -> tuple[int, int]:
     return lead + max(abs(c) for c in coeffs[:-1]), lead
 
 
-def _bisect_once(coeffs: Sequence[int], br: list) -> None:
+def _bisect_once(coeffs: Sequence[int], terms: tuple[int, ...], br: list) -> None:
     # br = [a, b, S, sign at a/S, sign at b/S] with differing nonzero signs
     a, b, den, s_lo, s_hi = br
     mid = a + b
     den *= 2
-    s = _sign(coeffs, mid, den)
+    s = _sign(coeffs, mid, den, terms)
     if s == 0:
         br[:] = [mid, mid, den, 0, 0]
     elif s == s_lo:
@@ -141,33 +151,34 @@ def _isolate(coeffs: Sequence[int]) -> list[tuple]:
     dco = _derivative(coeffs)
     # child brackets carry dco signs, exactly what bisection on dco needs
     crit = [list(t) for t in _isolate(dco)]
+    terms, dterms = _bound_terms(coeffs), _bound_terms(dco)
     bound, bound_den = _root_bound(coeffs)
-    s_left = _sign(coeffs, -bound, bound_den)
-    s_right = _sign(coeffs, bound, bound_den)
+    s_left = _sign(coeffs, -bound, bound_den, terms)
+    s_right = _sign(coeffs, bound, bound_den, terms)
     for _ in range(_REFINE_ROUNDS):
-        sites = _critical_signs(coeffs, crit)
+        sites = _critical_signs(coeffs, terms, crit)
         if sites is not None:
             found = _sign_changes(sites, bound, bound_den, s_left, s_right)
             if len(found) == m:
                 return found
         for br in crit:
             if br[0] != br[1]:
-                _bisect_once(dco, br)
+                _bisect_once(dco, dterms, br)
     raise RealRootednessError(f"no certificate of {m} simple real roots")
 
 
-def _critical_signs(coeffs, crit):
+def _critical_signs(coeffs, terms, crit):
     """(a, b, S, sign of p near the critical point), or None to refine more."""
     sites = []
     for a, b, den, _, _ in crit:
         if a == b:
-            s = _sign(coeffs, a, den)
+            s = _sign(coeffs, a, den, terms)
             if s == 0:
                 raise RealRootednessError("multiple root")
             sites.append((a, b, den, s))
             continue
-        s_lo = _sign(coeffs, a, den)
-        s_hi = _sign(coeffs, b, den)
+        s_lo = _sign(coeffs, a, den, terms)
+        s_hi = _sign(coeffs, b, den, terms)
         if s_lo == s_hi and s_lo != 0:
             sites.append((a, b, den, s_lo))
         else:
@@ -185,12 +196,12 @@ def _sign_changes(sites, bound, bound_den, s_left, s_right):
     return out
 
 
-def _refine(coeffs, a, b, den, s_lo):
+def _refine(coeffs, terms, a, b, den, s_lo):
     # hi - lo > max(1, |lo|, |hi|) / _WIDTH_SCALE, multiplied through by S
     while (b - a) * _WIDTH_SCALE > max(den, abs(a), abs(b)):
         mid = a + b
         den *= 2
-        s = _sign(coeffs, mid, den)
+        s = _sign(coeffs, mid, den, terms)
         if s == 0:
             return mid, mid, den
         if s == s_lo:
@@ -219,17 +230,18 @@ def pf_real_roots(seq: PFSequence | Iterable[int]) -> tuple[list[float], RootCer
     """All roots, certified real and simple, ascending.
 
     Brackets in the certificate are refined to relative width 1e-13, so the
-    float roots carry comparable accuracy.
+    float roots carry comparable accuracy.  A nonzero constant has degree 0
+    and no roots; an empty sequence or a zero leading coefficient (the zero
+    polynomial included) raises ValueError.
     """
     coeffs = tuple(seq.coefficients if isinstance(seq, PFSequence) else seq)
-    if len(coeffs) < 2:
-        return [], RootCertificate(degree=0, brackets=())
-    if coeffs[-1] == 0:
+    if not coeffs or coeffs[-1] == 0:
         raise ValueError("need a nonzero leading coefficient")
+    terms = _bound_terms(coeffs)
     refined = []
     for a, b, den, s_lo, _ in _isolate(coeffs):
         if a != b:
-            a, b, den = _refine(coeffs, a, b, den, s_lo)
+            a, b, den = _refine(coeffs, terms, a, b, den, s_lo)
         refined.append((Fraction(a, den), Fraction(b, den)))
     cert = RootCertificate(degree=len(coeffs) - 1, brackets=tuple(refined))
     roots = [float((lo + hi) / 2) for lo, hi in refined]

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -182,6 +183,43 @@ def test_distance_output(capsys):
     assert lines[0] == RATE_CSV_HEADER
     assert len(lines) == 5
     assert lines[1].split(",")[3] == "10"
+
+
+# sha256 of `dist` dumps past the enumeration range, generated by the dict
+# fold that preceded the lane fold
+DIST_DUMP_SHA256 = {
+    ("core", "size", "--d", "3", "40"):
+        "f92dd863fea154121922571081664f30416a34315886ab69604aacdf4c1f1e83",
+    ("strict", "size", "--d", "2", "80"):
+        "dad53ba778cbb4043dbd9f889571c687ae1076b8f3cca52eb1f67ef454f9da3a",
+    ("selfconj", "power:2", "--e", "2", "24"):
+        "ddf72dc476d413f949679d1bfdd5c0962419669fb44b4f626c21bf2161697571",
+    ("selfconj", "power:3", "--e", "2", "19"):
+        "7aa2927b529f2d6b69782c167e2eed66ab50c9622fa166e423e6697fe47a8f3c",
+}
+
+
+@pytest.mark.parametrize("case", sorted(DIST_DUMP_SHA256), ids=lambda c: f"{c[0]}-{c[1]}-n{c[4]}")
+def test_dist_dumps_are_pinned(capsys, case):
+    family, stat, flag, cap, n = case
+    code, out, _ = run(capsys, "dist", "--family", family, "--stat", stat, flag, cap, "--n", n)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == DIST_DUMP_SHA256[case]
+
+
+def test_distance_csv_is_pinned(capsys):
+    # generated with Fraction CDF steps and the dict fold
+    code, out, _ = run(capsys, "distance", "--family", "strict", "--stat", "size",
+                       "--d", "2", "--n", "6..10")
+    assert code == 0
+    assert out == (
+        "family,stat,cap,n,dK,dW,sqrtn_dK,sqrtn_dW\n"
+        "strict,size,2,6,0.0836438035117,0.108480197841,0.204884638749,0.265721131906\n"
+        "strict,size,2,7,0.0618816034643,0.0865025329254,0.163723333496,0.228864189898\n"
+        "strict,size,2,8,0.0501314042312,0.0704177308324,0.141793023529,0.19917141995\n"
+        "strict,size,2,9,0.0372928204822,0.0596036000888,0.111878461447,0.178810800266\n"
+        "strict,size,2,10,0.0338288756235,0.0512238074839,0.106976297653,0.161983902075\n"
+    )
 
 
 def test_sample_decode_and_determinism(capsys):

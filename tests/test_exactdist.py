@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
@@ -75,17 +76,58 @@ def test_dist_statistic_dispatch_errors():
         dist_statistic(FamilySpec("strict", 5, 2), "power:2")
 
 
-def test_pmf_step_limit_refuses_before_the_step(monkeypatch):
-    # core length d=3, n=6: step j meets 3j+1 atoms times 4 values, 52 at the last
+def test_pmf_byte_budget_refuses_before_the_first_step(monkeypatch):
+    # core length d=3, n=6: 4^5 = 1024 paths need 2-byte lanes, T <= 15, so
+    # the bound is 16 lanes * (1 layer * 2 bytes + _ATOM_BYTES) = 5152
     spec = FamilySpec("core", 6, 3)
-    monkeypatch.setattr(exactdist, "PMF_STEP_LIMIT", 52)
+    assert exactdist._ATOM_BYTES == 320
+    monkeypatch.setattr(exactdist, "PMF_BYTE_BUDGET", 5152)
     assert dist_statistic(spec, "length").total == 4**5
-    monkeypatch.setattr(exactdist, "PMF_STEP_LIMIT", 51)
+    monkeypatch.setattr(exactdist, "PMF_BYTE_BUDGET", 5151)
     with pytest.raises(ValueError) as err:
         dist_statistic(spec, "length")
     msg = str(err.value)
-    assert "\n" not in msg
+    assert "\n" not in msg and "5152 bytes" in msg
     assert all(part in msg for part in ("family core", "stat length", "n 6", "cap 3", "moments"))
+    # strict size d=2, n=5: 21 paths (1-byte lanes), states 2, A <= 8 and
+    # T <= 7 + 9 + 11 + 13 = 40, so 41 * (2 * 9 * 1 + 320) = 13858
+    spec = FamilySpec("strict", 5, 2)
+    monkeypatch.setattr(exactdist, "PMF_BYTE_BUDGET", 13858)
+    assert dist_statistic(spec, "size").total == 21
+    monkeypatch.setattr(exactdist, "PMF_BYTE_BUDGET", 13857)
+    with pytest.raises(ValueError, match="13858 bytes"):
+        dist_statistic(spec, "size")
+
+
+def test_pmf_refusal_allocates_nothing():
+    # selfconj power:3 e=2: n=21 is the first n refused (as by the old step
+    # limit); n=40 would hold ~365 MB of lanes
+    for n in (21, 40):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="PMF_BYTE_BUDGET"):
+                dist_statistic(FamilySpec("selfconj", n, 2), "power:3")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+
+def test_lane_width_edges_match_enumeration():
+    # totals that are exact powers of two (2^8, 2^16: one bit past a byte),
+    # cap 0 (a single path, 1-byte lanes) and n = 2 (one coordinate)
+    cases = [FamilySpec("core", 9, 1), FamilySpec("core", 17, 1), FamilySpec("core", 5, 3),
+             FamilySpec("core", 9, 3)]
+    cases += [FamilySpec(f, n, 0) for f in ("core", "strict", "selfconj") for n in (2, 7, 30)]
+    cases += [FamilySpec(f, 2, cap) for f in ("core", "strict", "selfconj") for cap in range(5)]
+    for spec in cases:
+        for stat in stats_for(spec.family):
+            got = dist_statistic(spec, stat)
+            assert got.total == count_family(spec), (spec, stat)
+            if spec.cap == 0:
+                assert got.atoms == {0: 1}, (spec, stat)
+            else:
+                assert got == oracle_distribution(spec, stat), (spec, stat)
 
 
 def test_core_length_is_symmetric_sum():

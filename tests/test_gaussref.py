@@ -1,10 +1,15 @@
 import math
+from fractions import Fraction
+from itertools import product
 
 import pytest
 from scipy.integrate import quad
 
 from coreperim.distributions import DiscreteDist, point_mass
+from coreperim.exactdist import dist_statistic
+from coreperim.families import FamilySpec
 from coreperim.gaussref import (
+    _standardized_steps,
     RATE_CSV_HEADER,
     kolmogorov_to_normal,
     normal_cdf,
@@ -194,3 +199,32 @@ def test_wasserstein_handles_plateau_crossings():
     d = DiscreteDist({0: 99, 10: 1})
     exact = wasserstein_to_normal(d)
     assert abs(exact - quad_wasserstein(d)) < 1e-6
+
+
+def fraction_steps(dist):
+    """The CDF steps through Fraction: float(x - mu) / sigma, float(F(x-)), float(F(x))."""
+    mu = dist.mean()
+    sigma = math.sqrt(float(dist.variance()))
+    return [(float(v - mu) / sigma, float(lo), float(hi)) for v, lo, hi in dist.cdf_steps()]
+
+
+def test_standardized_steps_match_fractions_bit_for_bit():
+    plans = {
+        "core": ["length", "size"],
+        "strict": ["length", "size"],
+        "selfconj": ["durfee", "size", "power:2", "power:3"],
+    }
+    checked = 0
+    for family, stats in plans.items():
+        for n, cap in product(range(2, 9), range(1, 4)):  # the C05 grid, cap 0 has no variance
+            for stat in stats:
+                dist = dist_statistic(FamilySpec(family, n, cap), stat)
+                if dist.variance() == 0:
+                    continue
+                assert _standardized_steps(dist) == fraction_steps(dist), (family, stat, n, cap)
+                checked += 1
+    assert checked == 7 * 3 * 8  # every cell has positive variance
+    # weights far past the float range, where only exact rounding keeps the levels
+    big = 2**1100
+    dist = DiscreteDist({-7: big + 1, 0: 3 * big - 5, 2: big // 3, 11: 2 * big + 12345, 40: 9})
+    assert _standardized_steps(dist) == fraction_steps(dist)

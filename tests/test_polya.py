@@ -11,6 +11,8 @@ from coreperim.families import FamilySpec, count_family
 from coreperim.polya import (
     PFSequence,
     RealRootednessError,
+    RootCertificate,
+    _bound_terms,
     _sign,
     bernoulli_decomposition,
     pf_real_roots,
@@ -85,6 +87,15 @@ def test_zero_leading_coefficient_is_refused():
             pf_real_roots(coeffs)
 
 
+def test_zero_polynomial_is_refused():
+    for coeffs in ([], [0], (0,)):
+        with pytest.raises(ValueError, match="need a nonzero leading coefficient"):
+            pf_real_roots(coeffs)
+    # a nonzero constant has no roots, and degree 0
+    for coeffs in ([5], [-2]):
+        assert pf_real_roots(coeffs) == ([], RootCertificate(degree=0, brackets=()))
+
+
 def test_hand_polynomials():
     roots, cert = pf_real_roots([1, 3, 1])
     assert cert.degree == 2
@@ -142,22 +153,24 @@ rationals = st.tuples(st.integers(-10**4, 10**4), st.integers(1, 10**4))
 @given(small_polys, rationals, st.integers(1, 50))
 def test_sign_filter_matches_exact_horner(coeffs, point, scale):
     num, den = point
+    terms = _bound_terms(coeffs)
     expect = exact_sign(coeffs, Fraction(num, den))
-    assert _sign(coeffs, num, den) == expect
+    assert _sign(coeffs, num, den, terms) == expect
     # an unreduced fraction names the same point
-    assert _sign(coeffs, scale * num, scale * den) == expect
+    assert _sign(coeffs, scale * num, scale * den, terms) == expect
 
 
 @given(small_polys.filter(any), rationals, st.integers(-3, 3), st.integers(0, 2**64))
 def test_sign_filter_at_and_near_rational_roots(cofactor, root, side, salt):
     num, den = root
     coeffs = times_linear(cofactor, num, den)
-    assert _sign(coeffs, num, den) == 0
+    terms = _bound_terms(coeffs)
+    assert _sign(coeffs, num, den, terms) == 0
     # within 2^-200 of the root, and near it with a large odd denominator
     tiny = 2**200
     big = 2**300 + 2 * salt + 1
     for pn, pd in ((num * tiny + side * den, den * tiny), (num * big + side * den, den * big)):
-        assert _sign(coeffs, pn, pd) == exact_sign(coeffs, Fraction(pn, pd))
+        assert _sign(coeffs, pn, pd, terms) == exact_sign(coeffs, Fraction(pn, pd))
 
 
 def test_u_weights_and_polynomial():
