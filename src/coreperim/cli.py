@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 from . import codec, families, gaussref, polya
@@ -71,28 +71,44 @@ def _fill_from_config(args):
             setattr(args, attr, value)
 
 
-def _cap_for(family: str | None, args) -> int:
+def _sweep_from(args) -> tuple[str, int, list[int]]:
+    """(family, cap, ns) from --family, --d or --e, and --n."""
+    family = args.family
     if family is None:
         raise ValueError("--family is required")
     cap = args.e if family == "selfconj" else args.d
     if cap is None:
         flag = "--e" if family == "selfconj" else "--d"
         raise ValueError(f"{flag} is required for family {family!r}")
-    return int(cap)
+    if args.n is None:
+        raise ValueError("--n is required")
+    return family, int(cap), parse_range(str(args.n))
 
 
 def _spec_from(args) -> FamilySpec:
-    cap = _cap_for(args.family, args)
-    if args.n is None:
-        raise ValueError("--n is required")
-    ns = parse_range(str(args.n))
+    family, cap, ns = _sweep_from(args)
     if len(ns) != 1:
         raise ValueError("this subcommand takes a single --n, not a range")
-    return FamilySpec(args.family, ns[0], cap)
+    return FamilySpec(family, ns[0], cap)
 
 
 def _stat_arg(args):
     return args.stat if args.stat is not None else "length"
+
+
+def _run_columns(work, jobs: list, workers) -> dict:
+    """dict(map(work, jobs)), on min(--jobs, columns, CPUs) worker processes.
+
+    One worker or fewer runs in this process, and the pool module is
+    imported only when a pool is started.
+    """
+    count = min(int(workers or 1), len(jobs), os.cpu_count() or 1)
+    if count <= 1:
+        return dict(map(work, jobs))
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(max_workers=count) as pool:
+        return dict(pool.map(work, jobs))
 
 
 def _write_out(text: str, out_path):
@@ -128,20 +144,12 @@ def _check_moment_request(family: str, cap: int, ns: list[int], ks: list[int], s
 
 
 def cmd_moments(args) -> int:
-    family = args.family
-    cap = _cap_for(family, args)
-    if args.n is None:
-        raise ValueError("--n is required")
-    ns = parse_range(args.n)
+    family, cap, ns = _sweep_from(args)
     ks = parse_range(args.k)
     stat = _stat_arg(args)
     _check_moment_request(family, cap, ns, ks, stat)
     jobs = [(family, cap, n, stat, ks[0], ks[-1]) for n in ns]
-    if args.jobs and int(args.jobs) > 1:
-        with ProcessPoolExecutor(max_workers=int(args.jobs)) as pool:
-            columns = dict(pool.map(_moment_column, jobs))
-    else:
-        columns = dict(map(_moment_column, jobs))
+    columns = _run_columns(_moment_column, jobs, args.jobs)
     lines = ["k," + ",".join(str(n) for n in ns)]
     for row, k in enumerate(ks):
         lines.append(f"{k}," + ",".join(columns[n][row] for n in ns))
@@ -210,18 +218,10 @@ def _distance_row(job):
 
 
 def cmd_distance(args) -> int:
-    family = args.family
-    cap = _cap_for(family, args)
-    if args.n is None:
-        raise ValueError("--n is required")
-    ns = parse_range(args.n)
+    family, cap, ns = _sweep_from(args)
     stat = _stat_arg(args)
     jobs = [(family, cap, n, stat) for n in ns]
-    if args.jobs and int(args.jobs) > 1:
-        with ProcessPoolExecutor(max_workers=int(args.jobs)) as pool:
-            produced = dict(pool.map(_distance_row, jobs))
-    else:
-        produced = dict(map(_distance_row, jobs))
+    produced = _run_columns(_distance_row, jobs, args.jobs)
     rows = [produced[n] for n in ns]
     _write_out(gaussref.rate_table_csv(rows), args.out)
     return 0
@@ -384,7 +384,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("moments", help="standardized-moment table (rows k, columns n)")
     add_common(p)
     p.add_argument("--k", help="moment orders, range a..b", default="3..8")
-    p.add_argument("--jobs", help="worker processes for the column sweep")
+    p.add_argument("--jobs", help="worker processes, capped at the column count and the CPU count")
     p.add_argument("--diff", help="golden CSV to compare against (exit 2 on drift)")
     p.set_defaults(func=cmd_moments)
 
@@ -394,7 +394,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("distance", help="distance-to-normal rate table")
     add_common(p)
-    p.add_argument("--jobs", help="worker processes")
+    p.add_argument("--jobs", help="worker processes, capped at the row count and the CPU count")
     p.set_defaults(func=cmd_distance)
 
     p = sub.add_parser("sample", help="uniform vectors as JSON lines")

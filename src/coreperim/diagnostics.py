@@ -13,21 +13,8 @@ from math import comb
 from typing import Iterable, Sequence
 
 from .distributions import DiscreteDist
-from .exactdist import dist_statistic
+from .exactdist import decode_lanes, dist_statistic, size_coefficients
 from .families import FamilySpec, normalize_stat
-
-
-def _size_coefficients(n: int, d: int):
-    """Per-coordinate quadratics g_i(y) = q y^2 + b_i y on y in 1..d.
-
-    The size statistic decomposes as sum g_i(y_i) - sum_{i<j} y_i y_j up to
-    an additive constant, which is the shape the sum-plus-pairs conditions
-    speak about.
-    """
-    q = Fraction(n - 1, 2)
-    c = Fraction(d + 1, 2)
-    b = [Fraction(i) - Fraction(n - 1, 2) - (n - 2) * c for i in range(1, n)]
-    return q, b
 
 
 @dataclass(frozen=True)
@@ -73,8 +60,7 @@ class ConditionReport:
 def check_size_conditions(n: int, d: int) -> ConditionReport:
     if n < 3 or d < 2:
         raise ValueError("need n >= 3, d >= 2")
-    q, bs = _size_coefficients(n, d)
-    a = -1
+    q, bs, a = size_coefficients(n, d)
 
     # moments of y uniform on 1..d
     m1 = Fraction(d + 1, 2)
@@ -236,31 +222,19 @@ def subset_sum_distribution(m: int, k: int) -> DiscreteDist:
 
 
 def _subset_sum_counts(m: int, k: int) -> list[int]:
-    top = k * m - k * (k - 1) // 2
-    if comb(m, min(k, m - k)) < 1 << 63:
-        # pack counts into 64-bit lanes of one integer per subset size;
-        # dp[j] += dp[j-1] << 64v is the whole inner loop
-        mask = (1 << 64) - 1
-        dp = [0] * (k + 1)
-        dp[0] = 1
-        for v in range(1, m + 1):
-            for j in range(min(k, v), 0, -1):
-                dp[j] += dp[j - 1] << (64 * v)
-        packed = dp[k]
-        out = []
-        for _ in range(top + 1):
-            out.append(packed & mask)
-            packed >>= 64
-        return out
-    dp = [{0: 1}] + [dict() for _ in range(k)]
+    """Number of k-subsets of {1..m} with sum s, for s = 0 .. the largest sum.
+
+    dp[j] packs the counts of the j-subsets into lanes of one integer, lane
+    s for sum s, so adding the value v is dp[j] += dp[j-1] << v lanes.  The
+    packing is linear: a lane may overflow along the way and the integer is
+    still exact, so only the final counts, each <= C(m, k), must fit a lane.
+    """
+    width = -(-comb(m, k).bit_length() // 8)
+    dp = [1] + [0] * k
     for v in range(1, m + 1):
         for j in range(min(k, v), 0, -1):
-            for s, c in dp[j - 1].items():
-                dp[j][s + v] = dp[j].get(s + v, 0) + c
-    out = [0] * (top + 1)
-    for s, c in dp[k].items():
-        out[s] = c
-    return out
+            dp[j] += dp[j - 1] << (8 * width * v)
+    return decode_lanes(dp[k], width)
 
 
 def subset_sum_rates(ms: Iterable[int]) -> list[dict]:

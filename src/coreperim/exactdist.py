@@ -9,20 +9,23 @@ pair (A, V) = (x, n*x^2 + (2i-n+1)*x) for size over core/strict, which is
 read back at the end as S = (V - A^2)/2.
 
 The automaton feeds two folds:
-  * `_fold_pmf` (`dist_statistic`) packs each layer by Kronecker
-    substitution.  Size is carried as (A, T) with T = (V - A)/2, a sum of
-    integer terms x*(n*x - n + 2i)/2 >= 0, and read back as
-    S = T - C(A, 2); the one-lane statistics are T with A = 0.  A layer is
-    one integer per (state, A) whose lane u, L bits wide, holds the weight
-    of the prefix paths whose zero extension has statistic u.  A
-    coordinate costs a few shifts and adds of whole integers, and the pmf
-    is read off the last layer's lanes through one `to_bytes`.
-    No lane carries: 0 is admissible from every state and adds nothing, so
-    each prefix path extends to a full path, distinct prefixes to distinct
-    paths.  A lane counts paths of one layer, so it never exceeds the
-    total path count N, and L = 8*ceil(bits(N)/8) gives N < 2^L.  The
-    fold's cost is bounded before its first step and refused above
-    PMF_BYTE_BUDGET.
+  * `_fold_pmf` (`dist_statistic`, and `conditional_stat` over a one-state
+    automaton whose support coordinates take 1..d and the others 0) packs
+    each layer by Kronecker substitution.  Size is carried as (A, T) with
+    T = (V - A)/2, a sum of integer terms x*(n*x - n + 2i)/2 >= 0, and read
+    back as S = T - C(A, 2); the one-lane statistics are T with A = 0.  A
+    layer is one integer per (state, A) whose lane u, L bits wide, holds
+    the weight of the prefix paths whose zero extension has statistic u.
+    A coordinate costs a few shifts and adds of whole integers, and the pmf
+    is read off the last layer's lanes by `decode_lanes`.
+    No lane carries, by two facts.  Every step offers at least one value
+    from every state, so each prefix path extends to a full path, distinct
+    prefixes to distinct paths; a lane counts paths of one layer, so it
+    never exceeds the total path count N, and L = 8*ceil(bits(N)/8) gives
+    N < 2^L.  The zero extension of every prefix is a member of the
+    (unconditioned) family, so its statistic is >= 0 and a shift to the
+    right drops only empty lanes.  The fold's cost is bounded before its
+    first step and refused above PMF_BYTE_BUDGET.
   * `_fold_power_sums` carries exact power sums per state (`power_sums`,
     `moment_report`), so the moment engine never builds a pmf.
 
@@ -38,11 +41,10 @@ from itertools import compress, count, product
 from math import comb, prod
 from typing import Iterator
 
-from .distributions import (
+from .distributions import (  # convolve: re-exported for callers of this module
     DiscreteDist,
     central_moments_from_sums,
     convolve,
-    point_mass,
     round_half_away,
 )
 from .families import FamilySpec, enumerate_family, normalize_stat
@@ -72,13 +74,8 @@ _ATOM_BYTES = 320
 def dist_statistic(spec: FamilySpec, stat) -> DiscreteDist:
     """Exact pmf of a statistic over the uniform family: one lane fold."""
     states, steps, lanes = _automaton(spec, stat)
-    move = _move(lanes)
-    moves = [
-        [(src, dst, Counter(map(move, values))) for src, dst, values in transitions]
-        for transitions in steps
-    ]
     label = f"family {spec.family}, stat {stat}, n {spec.n}, cap {spec.cap}"
-    return DiscreteDist(_fold_pmf(states, moves, label))
+    return DiscreteDist(_fold_pmf(states, _moves(steps, lanes), label))
 
 
 def _automaton(spec: FamilySpec, stat):
@@ -136,6 +133,15 @@ def _pair_values(n: int, e: int, k: int, i: int) -> list[int]:
     return values
 
 
+def _moves(steps, lanes: int) -> list:
+    """Per coordinate, transitions (src, dst, Counter of (da, t) moves)."""
+    move = _move(lanes)
+    return [
+        [(src, dst, Counter(map(move, values))) for src, dst, values in transitions]
+        for transitions in steps
+    ]
+
+
 def _move(lanes: int):
     """Contribution -> (da, t), what a coordinate adds to a and to T.
 
@@ -156,10 +162,10 @@ def _fold_pmf(states: int, steps: list, label: str) -> dict[int, int]:
     (state, a); its lane u, L bits wide, holds the weight of the prefix
     paths whose zero extension has statistic u = T - C(a, 2).  A move takes
     a to a + da and u to u + t - a*da - C(da, 2), so it adds m*P shifted by
-    that many lanes to (dst, a + da); a shift to the right drops only empty
-    lanes, as the new u is again the statistic of a member, so >= 0.  The
-    lanes of the sum of the last layer are the pmf, decoded through
-    `to_bytes`.  Lane width and budget: `_lane_bytes`.
+    that many lanes to (dst, a + da).  The module docstring proves that no
+    lane carries, so a shift to the right drops only empty lanes.  The lanes
+    of the sum of the last layer are the pmf.  Lane width and budget:
+    `_lane_bytes`.
     """
     width = _lane_bytes(states, steps, label)
     bits = 8 * width
@@ -176,10 +182,14 @@ def _fold_pmf(states: int, steps: list, label: str) -> dict[int, int]:
                         p_m << shift if shift >= 0 else p_m >> -shift
                     )
         layer = nxt
-    packed = sum(p for atoms in layer for p in atoms.values())
-    raw = packed.to_bytes(-(-packed.bit_length() // bits) * width, "little")
-    weights = [int.from_bytes(raw[j : j + width], "little") for j in range(0, len(raw), width)]
+    weights = decode_lanes(sum(p for atoms in layer for p in atoms.values()), width)
     return dict(zip(compress(count(), weights), filter(None, weights)))
+
+
+def decode_lanes(packed: int, width: int) -> list[int]:
+    """The lanes of `packed`, `width` bytes each, lowest first, up to its top lane."""
+    raw = packed.to_bytes(-(-packed.bit_length() // (8 * width)) * width, "little")
+    return [int.from_bytes(raw[j : j + width], "little") for j in range(0, len(raw), width)]
 
 
 def _lane_bytes(states: int, steps: list, label: str) -> int:
@@ -378,13 +388,15 @@ def conditional_stat(spec: FamilySpec, stat, support) -> ConditionalStat:
         raise ValueError(f"support {t} not inside [1, {spec.n - 1}]")
 
     n, d = spec.n, spec.cap
+    if t and d == 0:
+        raise ValueError(f"support {t} needs cap >= 1, got cap 0")
     contribution, lanes = _contribution(n, kind)
-    radix = _radix(spec)
-    law = point_mass(0)
-    for i in t:  # the support's coordinates are independent
-        step = {_pack(contribution(i, x), radix): 1 for x in range(1, d + 1)}
-        law = convolve(law, DiscreteDist(step))
-    dist = DiscreteDist(_unpack(law.atoms, lanes, radix))
+    steps = (
+        [(0, 0, [contribution(i, x) for x in (range(1, d + 1) if i in t else (0,))])]
+        for i in range(1, n)
+    )
+    label = f"strict {stat} on support {t}, n {n}, cap {d}"
+    dist = DiscreteDist(_fold_pmf(1, _moves(steps, lanes), label))
     if kind == "length":
         closed_mean, closed_var = _closed_forms_length(d, t)
     else:
@@ -398,45 +410,32 @@ def conditional_stat(spec: FamilySpec, stat, support) -> ConditionalStat:
     return ConditionalStat(dist, mean, var, closed_mean, closed_var)
 
 
-def _radix(spec: FamilySpec) -> int:
-    """Packing radix M of the size lanes, the key being V*M + A.
-
-    0 <= A <= (n-1)*cap < M, and each V term x*(n*x + 2i - n + 1) is at
-    least (2i+1)*x >= 0, so sums of keys decode exactly by divmod.
-    """
-    return (spec.n - 1) * spec.cap + 1
-
-
-def _pack(c: tuple[int, ...], radix: int) -> int:
-    return c[0] if len(c) == 1 else c[0] + radix * c[1]
-
-
-def _unpack(atoms: dict[int, int], lanes: int, radix: int) -> dict[int, int]:
-    """Statistic weights from packed-key weights; size is S = (V - A^2)/2."""
-    if lanes == 1:
-        return atoms
-    out: dict[int, int] = {}
-    for key, w in atoms.items():
-        v, a = divmod(key, radix)
-        num = v - a * a
-        assert num % 2 == 0
-        out[num // 2] = out.get(num // 2, 0) + w
-    return out
-
-
 def _closed_forms_length(d: int, t: tuple[int, ...]) -> tuple[Fraction, Fraction]:
     c = Fraction(d + 1, 2)
     var_x = Fraction(d * d - 1, 12)
     return len(t) * c, len(t) * var_x
 
 
+def size_coefficients(n: int, d: int) -> tuple[Fraction, list[Fraction], int]:
+    """(q, [b_1 .. b_(n-1)], a): the size statistic as sum plus pairs.
+
+    Up to an additive constant, size = sum_i g_i(y_i) + a * sum_{i<j} y_i y_j
+    with g_i(y) = q y^2 + b_i y on y in 1..d, q = (n-1)/2,
+    b_i = i - (n-1)/2 - (n-2)(d+1)/2 and pair coupling a = -1; this is the
+    shape the sum-plus-pairs conditions and the mixture closed forms use.
+    """
+    q = Fraction(n - 1, 2)
+    c = Fraction(d + 1, 2)
+    return q, [i - q - (n - 2) * c for i in range(1, n)], -1
+
+
 def _closed_forms_size(n: int, d: int, t: tuple[int, ...]) -> tuple[Fraction, Fraction]:
     """Mixture-component mean and variance of the size statistic.
 
-    Centered coordinates: X uniform on {-(d-1)/2, ..., (d-1)/2}, a = -1,
-    g_i(x) = (n-1)/2 * y^2 + (i - (n-1)/2 - (n-2)(d+1)/2) * y at y = x + (d+1)/2.
+    Centered coordinates: X uniform on {-(d-1)/2, ..., (d-1)/2} and
+    y = x + (d+1)/2, with g_i and a from `size_coefficients`.
     """
-    a = -1
+    q, b, a = size_coefficients(n, d)
     c = Fraction(d + 1, 2)
     size = len(t)
     ys = [Fraction(y) for y in range(1, d + 1)]
@@ -447,12 +446,11 @@ def _closed_forms_size(n: int, d: int, t: tuple[int, ...]) -> tuple[Fraction, Fr
     mean = Fraction(0)
     sum_var_g = Fraction(0)
     sum_cov = Fraction(0)
-    half = Fraction(n - 1, 2)
     for i in t:
-        b_i = i - half - (n - 2) * c
-        e_g = half * e_y2 + b_i * e_y
-        e_g2 = sum((half * y * y + b_i * y) ** 2 for y in ys) / d
-        cov = sum((half * y * y + b_i * y) * (y - e_y) for y in ys) / d
+        b_i = b[i - 1]
+        e_g = q * e_y2 + b_i * e_y
+        e_g2 = sum((q * y * y + b_i * y) ** 2 for y in ys) / d
+        cov = sum((q * y * y + b_i * y) * (y - e_y) for y in ys) / d
         mean += e_g
         sum_var_g += e_g2 - e_g * e_g
         sum_cov += cov

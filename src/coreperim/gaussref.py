@@ -162,26 +162,3 @@ def rate_table_csv(rows: list[NormalDistanceResult]) -> str:
             f"{r.d_k:.12g},{r.d_w:.12g},{r.sqrtn_d_k:.12g},{r.sqrtn_d_w:.12g}"
         )
     return "\n".join(lines) + "\n"
-
-
-def normal_pair_gap(mu: float, s1: float, s2: float) -> tuple[float, float, float, float]:
-    """Distances between N(mu, s1^2) and N(mu, s2^2) plus their guaranteed bounds.
-
-    Returns (d_K, d_W, bound_K, bound_W).  d_K is attained where the two
-    densities cross; d_W for equal means is (s_hi - s_lo) * sqrt(2/pi).
-    """
-    if s1 < 0 or s2 < 0 or (s1 == 0 and s2 == 0):
-        raise ValueError("need std deviations >= 0, not both zero")
-    lo, hi = min(s1, s2), max(s1, s2)
-    bound_k = (hi * hi - lo * lo) / (hi * hi)
-    bound_w = math.sqrt(2.0 / math.pi) * (hi * hi - lo * lo) / hi
-    if lo == hi:
-        return 0.0, 0.0, bound_k, bound_w
-    if lo == 0.0:
-        d_k = 0.5  # point mass against a continuous CDF, gap at the atom
-    else:
-        u = math.sqrt(2.0 * lo * lo * hi * hi * math.log(hi / lo) / (hi * hi - lo * lo))
-        d_k = normal_cdf(u / lo) - normal_cdf(u / hi)
-    d_w = (hi - lo) * math.sqrt(2.0 / math.pi)
-    assert d_k <= bound_k + 1e-12 and d_w <= bound_w + 1e-12
-    return d_k, d_w, bound_k, bound_w

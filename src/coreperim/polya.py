@@ -364,15 +364,6 @@ def pf_tail_bound(n: int, d: int, r) -> LowerTailCheck:
     )
 
 
-def u_low_moment(n: int, d: int) -> float:
-    """E[min(1/sqrt(U), 1)], the denominator control for ratio statistics."""
-    dist = u_distribution(n, d)
-    return sum(
-        float(dist.probability(k)) * (1.0 if k == 0 else min(1.0, 1.0 / math.sqrt(k)))
-        for k in dist.support()
-    )
-
-
 def u_variance_deviations(n_range: Iterable[int], d: int = 1) -> list[tuple[int, Fraction, float]]:
     """(n, exact Var U, |Var - n sqrt(5)/25|) rows; the gap should stay O(1)."""
     slope = math.sqrt(5.0) / 25.0

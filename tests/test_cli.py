@@ -60,6 +60,50 @@ def test_moments_jobs_agree(capsys):
     assert serial == parallel
 
 
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, maps in-process."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, jobs):
+        return map(fn, jobs)
+
+
+@pytest.mark.parametrize(
+    "cpus, argv, workers",
+    [
+        (4, ["moments", "--n", "5..7", "--jobs", "100000"], [3]),  # one per column
+        (4, ["moments", "--n", "5..14", "--jobs", "100000"], [4]),  # one per CPU
+        (4, ["distance", "--n", "5..14", "--jobs", "2"], [2]),
+        (4, ["distance", "--n", "5..7", "--jobs", "1"], []),  # serial, no pool
+        (1, ["moments", "--n", "5..7", "--jobs", "8"], []),
+        (4, ["moments", "--n", "5", "--jobs", "8"], []),
+    ],
+)
+def test_jobs_are_capped_by_columns_and_cpus(capsys, monkeypatch, cpus, argv, workers):
+    import concurrent.futures
+    import os
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    serial = argv[:-2]
+    common = ["--family", "core", "--stat", "length", "--d", "2"]
+    expected = run(capsys, *serial, *common)
+    assert run(capsys, *argv, *common) == expected
+    assert expected[0] == 0
+    assert _RecordingPool.sizes == workers
+
+
 def test_moments_out_and_diff(tmp_path, capsys):
     table = tmp_path / "table.csv"
     args = ["moments", "--family", "selfconj", "--stat", "power:1",

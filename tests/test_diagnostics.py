@@ -125,8 +125,11 @@ def test_subset_sums_match_brute_force():
 
 
 def test_subset_sums_symmetry_and_moments():
-    # also exercises the wide-m fallback path at m = 70
-    for m, k in ((30, 15), (41, 13), (70, 35)):
+    # C(m, k) sets the lane width: the pairs straddle 2^8, 2^16 and 2^64,
+    # where the width steps from 1 to 2, 2 to 3 and 8 to 9 bytes, and a
+    # carry between lanes would break the exact moments or the symmetry
+    pairs = ((10, 5), (11, 5), (18, 9), (19, 9), (67, 33), (68, 34), (30, 15), (41, 13), (70, 35))
+    for m, k in pairs:
         dist = subset_sum_distribution(m, k)
         assert dist.total == comb(m, k)
         assert dist.mean() == Fraction(k * (m + 1), 2)

@@ -231,6 +231,8 @@ def test_conditional_stat_validation():
         conditional_stat(spec, "length", (2, 3))  # adjacent
     with pytest.raises(ValueError):
         conditional_stat(spec, "length", (0, 4))  # out of range
+    with pytest.raises(ValueError, match="cap"):
+        conditional_stat(FamilySpec("strict", 6, 0), "size", (1, 3))  # nothing to take
 
 
 def test_conditional_length_small():

@@ -13,7 +13,6 @@ from coreperim.gaussref import (
     RATE_CSV_HEADER,
     kolmogorov_to_normal,
     normal_cdf,
-    normal_pair_gap,
     normal_pdf,
     rate_table,
     rate_table_csv,
@@ -166,32 +165,6 @@ def test_rate_table_shapes_and_csv():
 def test_rate_table_tuple_stat_spelling():
     rows = rate_table("selfconj", ("power", 2), 1, range(8, 10))
     assert all(r.stat == "power:2" for r in rows)
-
-
-def test_normal_pair_gap_degenerate_and_halfline():
-    assert normal_pair_gap(0.5, 1.0, 1.0) == (0.0, 0.0, 0.0, 0.0)
-    d_k, d_w, bound_k, bound_w = normal_pair_gap(2.0, 0.0, 1.0)
-    # point mass vs normal: the KS gap is exactly 1/2 at the mean
-    assert d_k == 0.5
-    assert abs(d_w - math.sqrt(2 / math.pi)) < 1e-15
-    assert bound_k == 1.0 and abs(bound_w - d_w) < 1e-15
-
-
-def test_normal_pair_gap_generic():
-    d_k, d_w, bound_k, bound_w = normal_pair_gap(0.0, 1.0, 2.0)
-    # dK: maximize |Phi(x) - Phi(x/2)| over a dense grid
-    grid_best = max(
-        abs(normal_cdf(x / 1.0) - normal_cdf(x / 2.0)) for x in
-        [i * 1e-3 for i in range(0, 8000)]
-    )
-    assert grid_best <= d_k + 1e-12
-    assert d_k - grid_best < 1e-6
-    # dW between same-mean normals is E|Z| * (s2 - s1), exactly
-    assert abs(d_w - (2.0 - 1.0) * math.sqrt(2 / math.pi)) < 1e-15
-    assert d_k <= bound_k + 1e-12 and d_w <= bound_w + 1e-12
-    assert abs(bound_k - 0.75) < 1e-15
-    # order of the two scales does not matter
-    assert normal_pair_gap(0.0, 2.0, 1.0) == pytest.approx((d_k, d_w, bound_k, bound_w))
 
 
 def test_wasserstein_handles_plateau_crossings():

@@ -19,7 +19,6 @@ from coreperim.polya import (
     pf_tail_bound,
     residual,
     u_distribution,
-    u_low_moment,
     u_mean_bounds,
     u_polynomial,
     u_variance_deviations,
@@ -246,15 +245,6 @@ def test_lower_tail_bound():
                 chk = pf_tail_bound(n, d, r)
                 assert chk.holds
                 assert chk.bound == pytest.approx(math.exp(-float(r * r / (2 * mean))))
-
-
-def test_low_moment_direct():
-    w = u_weights(6, 1)
-    direct = (w[0] + w[1] + w[2] / math.sqrt(2) + w[3] / math.sqrt(3)) / sum(w)
-    assert u_low_moment(6, 1) == pytest.approx(direct)
-    # decays like 1/sqrt(n)
-    assert u_low_moment(200, 1) < u_low_moment(50, 1) < u_low_moment(10, 1)
-    assert math.sqrt(200) * u_low_moment(200, 1) < 2.1
 
 
 def test_variance_deviations():
