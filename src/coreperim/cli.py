@@ -21,6 +21,8 @@ from .exactdist import dist_statistic, mixture_identity_check, moment_report
 from .families import ENUMERATION_LIMIT, FamilySpec
 
 DIFF_TOLERANCE = 0.001 + 1e-9
+# --n and --k ranges wider than this are refused before their list is built
+RANGE_LIMIT = 10_000
 
 
 class _UsageError(Exception):
@@ -34,12 +36,16 @@ class _Parser(argparse.ArgumentParser):
 
 
 def parse_range(text: str) -> list[int]:
-    """'a..b' inclusive, or a single integer."""
+    """'a..b' inclusive, or a single integer; a span over RANGE_LIMIT values is refused."""
     if ".." in text:
         a, _, b = text.partition("..")
         lo, hi = int(a), int(b)
         if hi < lo:
             raise ValueError(f"empty range {text!r}")
+        if hi - lo + 1 > RANGE_LIMIT:
+            raise ValueError(
+                f"range {text!r} spans {hi - lo + 1} values, over the limit of {RANGE_LIMIT}"
+            )
         return list(range(lo, hi + 1))
     return [int(text)]
 

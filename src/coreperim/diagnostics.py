@@ -243,14 +243,13 @@ def subset_sum_rates(ms: Iterable[int]) -> list[dict]:
     The scaled columns multiply by sqrt(k(m-k)/m), the rate the sampling
     CLT predicts, so bounded values mean the predicted rate is visible.
     """
-    from .gaussref import kolmogorov_to_normal, wasserstein_to_normal
+    from .gaussref import normal_distances
 
     rows = []
     for m in ms:
         k = m // 2
         dist = subset_sum_distribution(m, k)
-        d_k = kolmogorov_to_normal(dist)
-        d_w = wasserstein_to_normal(dist)
+        d_k, d_w = normal_distances(dist)
         factor = math.sqrt(k * (m - k) / m)
         rows.append(
             {

@@ -8,21 +8,34 @@ so floating point enters only at final divisions.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import islice
 from math import comb, isqrt
+from operator import lt
 
 
 class DiscreteDist:
     def __init__(self, atoms: dict[int, int]):
-        cleaned = {}
-        for value, weight in atoms.items():
-            if weight < 0:
-                raise ValueError(f"negative weight {weight} at {value}")
-            if weight > 0:
-                cleaned[int(value)] = weight
-        if not cleaned:
-            raise ValueError("distribution needs at least one atom")
-        self._atoms = dict(sorted(cleaned.items()))
-        self.total = sum(cleaned.values())
+        # One private copy.  Input that already has ascending int keys and
+        # positive weights (as the lane folds return it) is only checked;
+        # anything else is validated, cleaned of zero weights and sorted.
+        own = dict(atoms)
+        if not (
+            own
+            and min(own.values()) > 0
+            and set(map(type, own)) == {int}
+            and all(map(lt, own, islice(own, 1, None)))
+        ):
+            cleaned = {}
+            for value, weight in atoms.items():
+                if weight < 0:
+                    raise ValueError(f"negative weight {weight} at {value}")
+                if weight > 0:
+                    cleaned[int(value)] = weight
+            if not cleaned:
+                raise ValueError("distribution needs at least one atom")
+            own = dict(sorted(cleaned.items()))
+        self._atoms = own
+        self.total = sum(own.values())
 
     @property
     def atoms(self) -> dict[int, int]:

@@ -17,15 +17,17 @@ The automaton feeds two folds:
     layer is one integer per (state, A) whose lane u, L bits wide, holds
     the weight of the prefix paths whose zero extension has statistic u.
     A coordinate costs a few shifts and adds of whole integers, and the pmf
-    is read off the last layer's lanes by `decode_lanes`.
+    is read off the last layer's lanes by `decode_lanes`.  L/8 is
+    ceil(bits(N)/8) bytes, padded to 1, 2, 4 or 8 when it is at most 8, so
+    the decode is one `memoryview.cast` of the integer's bytes.
     No lane carries, by two facts.  Every step offers at least one value
     from every state, so each prefix path extends to a full path, distinct
     prefixes to distinct paths; a lane counts paths of one layer, so it
-    never exceeds the total path count N, and L = 8*ceil(bits(N)/8) gives
-    N < 2^L.  The zero extension of every prefix is a member of the
-    (unconditioned) family, so its statistic is >= 0 and a shift to the
-    right drops only empty lanes.  The fold's cost is bounded before its
-    first step and refused above PMF_BYTE_BUDGET.
+    never exceeds the total path count N, and L >= bits(N) gives N < 2^L.
+    The zero extension of every prefix is a member of the (unconditioned)
+    family, so its statistic is >= 0 and a shift to the right drops only
+    empty lanes.  The fold's cost is bounded before its first step and
+    refused above PMF_BYTE_BUDGET.
   * `_fold_power_sums` carries exact power sums per state (`power_sums`,
     `moment_report`), so the moment engine never builds a pmf.
 
@@ -34,11 +36,15 @@ standardized moment is finally printed.
 """
 from __future__ import annotations
 
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import compress, count, product
 from math import comb, prod
+from operator import getitem
+from struct import calcsize
 from typing import Iterator
 
 from .distributions import (  # convolve: re-exported for callers of this module
@@ -186,14 +192,27 @@ def _fold_pmf(states: int, steps: list, label: str) -> dict[int, int]:
     return dict(zip(compress(count(), weights), filter(None, weights)))
 
 
+# lane width in bytes -> the memoryview format of a native unsigned int that wide
+_CAST = {calcsize(code): code for code in "BHIQ"}
+
+
 def decode_lanes(packed: int, width: int) -> list[int]:
-    """The lanes of `packed`, `width` bytes each, lowest first, up to its top lane."""
-    raw = packed.to_bytes(-(-packed.bit_length() // (8 * width)) * width, "little")
-    return [int.from_bytes(raw[j : j + width], "little") for j in range(0, len(raw), width)]
+    """The lanes of `packed`, `width` bytes each, lowest first, up to its top lane.
+
+    Widths of a native unsigned int (1, 2, 4, 8) are read by one
+    `memoryview.cast` of the bytes in native order; other widths slice.
+    """
+    size = -(-packed.bit_length() // (8 * width)) * width
+    if width in _CAST:
+        lanes = memoryview(packed.to_bytes(size, sys.byteorder)).cast(_CAST[width]).tolist()
+        return lanes if sys.byteorder == "little" else lanes[::-1]
+    raw = packed.to_bytes(size, "little")
+    return [int.from_bytes(raw[j : j + width], "little") for j in range(0, size, width)]
 
 
 def _lane_bytes(states: int, steps: list, label: str) -> int:
-    """L/8 = ceil(bits(N)/8), the lane width in bytes of `_fold_pmf`.
+    """L/8, the lane width in bytes of `_fold_pmf`: ceil(bits(N)/8) rounded up
+    to 1, 2, 4 or 8 when it is at most 8, so that `decode_lanes` casts.
 
     N, the path count, comes from a fold of plain counts; the module
     docstring proves that no lane then carries.  Before that width is
@@ -210,6 +229,8 @@ def _lane_bytes(states: int, steps: list, label: str) -> int:
             nxt[dst] += counts[src] * moves.total()
         counts = nxt
     width = -(-sum(counts).bit_length() // 8)
+    if width <= 8:
+        width = 1 << (width - 1).bit_length()  # 1, 2, 4 or 8: a cast decode
     a_top = sum(max(da for *_, moves in tr for da, _ in moves) for tr in steps)
     t_top = sum(max(t for *_, moves in tr for _, t in moves) for tr in steps)
     need = (t_top + 1) * (states * (a_top + 1) * width + _ATOM_BYTES)
@@ -325,19 +346,11 @@ def _fold_power_sums(states: int, steps, index: list[tuple[int, ...]]) -> list[i
     """Mixed power sums, in `index` order, over every path (all states accept).
 
     `steps` yields, per coordinate, transitions (src, dst, contributions).
+    A transition whose one value is the zero contribution leaves the sums
+    as they are and is skipped.
     """
-    where = {e: t for t, e in enumerate(index)}
-    plan = [
-        [
-            (
-                prod(comb(a, b) for a, b in zip(e, f)),
-                where[f],
-                where[tuple(a - b for a, b in zip(e, f))],
-            )
-            for f in product(*(range(a + 1) for a in e))
-        ]
-        for e in index
-    ]
+    plan = _plan(tuple(index))
+    tops = [max(e[t] for e in index) for t in range(len(index[0]))]
     unit = [int(not any(e)) for e in index]
     zero = [0] * len(index)
     layer = [unit] + [zero] * (states - 1)
@@ -345,12 +358,32 @@ def _fold_power_sums(states: int, steps, index: list[tuple[int, ...]]) -> list[i
         nxt = [zero] * states
         for src, dst, values in transitions:
             sums = layer[src]
-            factor = [sum(prod(c**g for c, g in zip(v, e)) for v in values) for e in index]
-            if factor != unit:
+            if len(values) != 1 or any(values[0]):
+                # U[e] = sum over values c of prod_t c_t^e_t, from per-lane power tables
+                tables = [[[c**g for g in range(top + 1)] for c, top in zip(v, tops)]
+                          for v in values]
+                factor = [sum(prod(map(getitem, table, e)) for table in tables) for e in index]
                 sums = [sum(c * sums[f] * factor[g] for c, f, g in terms) for terms in plan]
             nxt[dst] = [a + b for a, b in zip(nxt[dst], sums)]
         layer = nxt
     return [sum(col) for col in zip(*layer)]
+
+
+@lru_cache(maxsize=32)
+def _plan(index: tuple[tuple[int, ...], ...]) -> tuple[tuple[tuple[int, int, int], ...], ...]:
+    """Per e in `index`, the binomial terms (prod_t C(e_t, f_t), slot of f, slot of e - f)."""
+    where = {e: t for t, e in enumerate(index)}
+    return tuple(
+        tuple(
+            (
+                prod(comb(a, b) for a, b in zip(e, f)),
+                where[f],
+                where[tuple(a - b for a, b in zip(e, f))],
+            )
+            for f in product(*(range(a + 1) for a in e))
+        )
+        for e in index
+    )
 
 
 def legal_supports(n: int) -> Iterator[tuple[int, ...]]:

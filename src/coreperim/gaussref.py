@@ -5,11 +5,17 @@ standard deviation first.  The discrete CDF is exact (rational plateau
 levels), the normal CDF comes from erfc and is good to well below 1e-12,
 and the Wasserstein integral is evaluated piecewise in closed form, so the
 reported distances carry no quadrature error worth mentioning.
+
+`normal_distances` gives dK and dW together from one walk over the
+standardized steps, with Phi, phi and the Phi-integral evaluated once per
+support point; `kolmogorov_to_normal` and `wasserstein_to_normal` are its
+two halves.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable
 
 from .distributions import DiscreteDist
@@ -36,17 +42,23 @@ def _cdf_integral(t: float) -> float:
 def _standardized_steps(dist: DiscreteDist):
     """(standardized point, F(x-), F(x)) triples with float levels.
 
-    With N the total weight and s1 = sum v*w, the exact rationals x - mu =
-    (v*N - s1)/N and F = acc/N are rounded by int / int, which is correctly
-    rounded as float(Fraction) is, so no Fraction is needed per atom.
+    With N the total weight, s1 = sum v*w and s2 = sum v^2*w (one integer
+    pass), the variance is the exact rational (N*s2 - s1^2)/N^2.  The exact
+    rationals x - mu = (v*N - s1)/N and F = acc/N are rounded by int / int,
+    which is correctly rounded as float(Fraction) is, so no Fraction is
+    needed per atom.
     """
-    var = dist.variance()
+    items = dist.items()
+    total = dist.total
+    s1 = s2 = 0
+    for v, w in items:
+        vw = v * w
+        s1 += vw
+        s2 += v * vw
+    var = Fraction(total * s2 - s1 * s1, total * total)
     if var == 0:
         raise ValueError("distance to normal needs positive variance")
     sigma = math.sqrt(float(var))
-    items = dist.items()
-    total = dist.total
-    s1 = sum(v * w for v, w in items)
     steps = []
     acc = 0
     for v, w in items:
@@ -56,17 +68,57 @@ def _standardized_steps(dist: DiscreteDist):
     return steps
 
 
-def kolmogorov_to_normal(dist: DiscreteDist) -> float:
-    """sup |F - Phi| of the standardized distribution.
+def normal_distances(dist: DiscreteDist) -> tuple[float, float]:
+    """(dK, dW) of the standardized distribution, in one walk over its steps.
 
-    The supremum sits at a jump of F, approached from the left or attained
-    on the right, so scanning support points covers it.
+    dK = sup |F - Phi| sits at a jump of F, approached from the left or
+    attained on the right, so scanning support points covers it.
+
+    dW = integral of |F - Phi| over the line, piecewise in closed form
+    with I(t) = t*Phi(t) + phi(t), the antiderivative of Phi.  Between
+    consecutive points t0 < t1 F is a constant c; the segment is
+    c*(t1 - t0) - (I(t1) - I(t0)) when Phi(t1) <= c, its negative when
+    Phi(t0) >= c, and otherwise it is split at the unique crossing
+    Phi^{-1}(c), found by bisection.  F = 0 left of the first point and 1
+    right of the last add I(t_first) and phi(t_last) - t_last*(1 - Phi(t_last)).
+
+    Phi, phi and I are evaluated once per point and carried into the next
+    segment; the sum runs left to right.
     """
     best = 0.0
+    total = None
     for t, before, after in _standardized_steps(dist):
-        phi = normal_cdf(t)
-        best = max(best, abs(before - phi), abs(after - phi))
-    return best
+        cdf = normal_cdf(t)
+        pdf = normal_pdf(t)
+        area_to = t * cdf + pdf  # I(t)
+        best = max(best, abs(before - cdf), abs(after - cdf))
+        if total is None:
+            total = area_to  # F = 0 to the left of the first point
+        else:
+            area = area_to - area_lo  # integral of Phi on [lo, t]
+            if cdf <= level:
+                total += level * (t - lo) - area
+            elif cdf_lo >= level:
+                total += area - level * (t - lo)
+            else:
+                t_star = _inverse_cdf(level, lo, t)
+                left = _cdf_integral(t_star) - area_lo
+                right = area - left
+                total += (level * (t_star - lo) - left) + (right - level * (t - t_star))
+        lo, cdf_lo, area_lo, level = t, cdf, area_to, after
+    # F = 1 beyond the last point: integral of 1 - Phi
+    total += pdf - lo * (1.0 - cdf)
+    return best, total
+
+
+def kolmogorov_to_normal(dist: DiscreteDist) -> float:
+    """sup |F - Phi| of the standardized distribution (see `normal_distances`)."""
+    return normal_distances(dist)[0]
+
+
+def wasserstein_to_normal(dist: DiscreteDist) -> float:
+    """Integral of |F - Phi| over the line (see `normal_distances`)."""
+    return normal_distances(dist)[1]
 
 
 def _inverse_cdf(level: float, lo: float, hi: float) -> float:
@@ -80,36 +132,6 @@ def _inverse_cdf(level: float, lo: float, hi: float) -> float:
         else:
             hi = mid
     return 0.5 * (lo + hi)
-
-
-def wasserstein_to_normal(dist: DiscreteDist) -> float:
-    """Integral of |F - Phi| over the line, piecewise closed form.
-
-    Between consecutive support points F is a constant c; the segment
-    integral uses the antiderivative of Phi, split at the unique crossing
-    Phi^{-1}(c) when the plateau cuts through the normal CDF.
-    """
-    steps = _standardized_steps(dist)
-    t0 = steps[0][0]
-    total = _cdf_integral(t0)  # F = 0 to the left of the first point
-    for (t, _, level), (t_next, _, _) in zip(steps, steps[1:]):
-        total += _segment(level, t, t_next)
-    t_last = steps[-1][0]
-    # F = 1 beyond the last point: integral of 1 - Phi
-    total += normal_pdf(t_last) - t_last * (1.0 - normal_cdf(t_last))
-    return total
-
-
-def _segment(level: float, lo: float, hi: float) -> float:
-    area = _cdf_integral(hi) - _cdf_integral(lo)  # integral of Phi on [lo, hi]
-    if normal_cdf(hi) <= level:
-        return level * (hi - lo) - area
-    if normal_cdf(lo) >= level:
-        return area - level * (hi - lo)
-    t_star = _inverse_cdf(level, lo, hi)
-    left = _cdf_integral(t_star) - _cdf_integral(lo)
-    right = area - left
-    return (level * (t_star - lo) - left) + (right - level * (hi - t_star))
 
 
 @dataclass(frozen=True)
@@ -137,15 +159,15 @@ def rate_table(family: str, stat, cap: int, n_range: Iterable[int]) -> list[Norm
 
     out = []
     for n in n_range:
-        dist = dist_statistic(FamilySpec(family, n, cap), stat)
+        d_k, d_w = normal_distances(dist_statistic(FamilySpec(family, n, cap), stat))
         out.append(
             NormalDistanceResult(
                 family=family,
                 stat=stat if isinstance(stat, str) else f"power:{stat[1]}",
                 cap=cap,
                 n=n,
-                d_k=kolmogorov_to_normal(dist),
-                d_w=wasserstein_to_normal(dist),
+                d_k=d_k,
+                d_w=d_w,
             )
         )
     return out

@@ -3,10 +3,11 @@ import json
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import pytest
 
-from coreperim.cli import DIFF_TOLERANCE, main, parse_range
+from coreperim.cli import DIFF_TOLERANCE, RANGE_LIMIT, main, parse_range
 from coreperim.gaussref import RATE_CSV_HEADER
 
 
@@ -205,6 +206,30 @@ def test_dist_over_the_step_limit_is_refused():
     assert line.startswith("error: ") and "Traceback" not in proc.stderr
     for part in ("family selfconj", "stat power:3", "n 40", "cap 2", "moments"):
         assert part in line
+
+
+@pytest.mark.parametrize("sub", ["moments", "distance", "dist"])
+def test_a_huge_n_span_is_refused_before_it_is_built(capsys, sub):
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, sub, "--family", "core", "--d", "3", "--stat", "length",
+                             "--n", "2..10000000000")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (1, "")
+    assert err == ("error: range '2..10000000000' spans 9999999999 values, "
+                   f"over the limit of {RANGE_LIMIT}\n")
+    assert peak < 1 << 20
+
+
+def test_range_limit_boundary(capsys):
+    assert len(parse_range(f"1..{RANGE_LIMIT}")) == RANGE_LIMIT
+    with pytest.raises(ValueError, match=f"spans {RANGE_LIMIT + 1} values"):
+        parse_range(f"0..{RANGE_LIMIT}")
+    code, out, err = run(capsys, "moments", "--family", "core", "--d", "3", "--stat", "length",
+                         "--n", "5", "--k", f"3..{RANGE_LIMIT + 3}")
+    assert (code, out) == (1, "") and len(err.splitlines()) == 1
 
 
 def test_dist_output(capsys):

@@ -34,6 +34,53 @@ def test_construction_cleans_and_validates():
         DiscreteDist({0: -1})
 
 
+def cleaned_atoms(atoms):
+    """The atoms (or the error) of the constructor before its sorted-input path."""
+    cleaned = {}
+    for value, weight in atoms.items():
+        if weight < 0:
+            raise ValueError(f"negative weight {weight} at {value}")
+        if weight > 0:
+            cleaned[int(value)] = weight
+    if not cleaned:
+        raise ValueError("distribution needs at least one atom")
+    return list(sorted(cleaned.items()))
+
+
+def outcome(build, atoms):
+    try:
+        return build(atoms)
+    except ValueError as exc:
+        return str(exc)
+
+
+@given(
+    st.dictionaries(st.integers(-30, 30), st.integers(-2, 50), max_size=10),
+    st.sampled_from([None, sorted, lambda items: sorted(items, reverse=True)]),
+)
+def test_construction_matches_the_cleaning_oracle(atoms, order):
+    if order is not None:
+        atoms = dict(order(atoms.items()))  # ascending input takes the checked path
+    got = outcome(lambda a: DiscreteDist(a).items(), atoms)
+    assert got == outcome(cleaned_atoms, atoms)
+    if isinstance(got, list):
+        assert DiscreteDist(atoms).total == sum(w for _, w in got)
+
+
+def test_construction_keeps_a_private_copy():
+    for atoms in ({-1: 5, 3: 2}, {3: 2, -1: 5}, {-1: 5, 1: 0, 3: 2}, {True: 2, 4: 1}):
+        d = DiscreteDist(atoms)
+        before = (d.items(), d.total)
+        atoms[3] = 100
+        atoms[7] = 1
+        atoms.pop(-1, None)
+        assert (d.items(), d.total) == before
+        assert d._atoms is not atoms
+    assert DiscreteDist({True: 2, 4: 1}).items() == [(1, 2), (4, 1)]
+    assert type(DiscreteDist({True: 2}).support()[0]) is int
+    assert outcome(DiscreteDist, {0: 1, 2: -3, 5: -1}) == "negative weight -3 at 2"
+
+
 def test_hand_moments():
     # fair die
     die = uniform_range(1, 6)

@@ -1,8 +1,10 @@
 import tracemalloc
 from fractions import Fraction
 from itertools import product
+from math import comb
 
 import pytest
+from hypothesis import given, strategies as st
 
 from coreperim import exactdist
 from coreperim.distributions import DiscreteDist, point_mass
@@ -10,6 +12,7 @@ from coreperim.exactdist import (
     ConditionalStat,
     MomentReport,
     conditional_stat,
+    decode_lanes,
     dist_statistic,
     legal_supports,
     mixture_identity_check,
@@ -198,6 +201,16 @@ def test_moment_engine_matches_pmf_on_oracle_grid():
                 assert moment_report(spec, stat, 8).degenerate == (cap == 0)
 
 
+def test_power_sums_equal_the_pmf_sums_on_oracle_grid():
+    # raw sums, totals included: cap 0 (strict's empty 0 -> 1 step) and the
+    # skipped zero-contribution steps must leave the path count exact
+    for family in ("core", "strict", "selfconj"):
+        for n, cap in product(range(2, 9), range(4)):
+            spec = FamilySpec(family, n, cap)
+            for stat in stats_for(family):
+                assert power_sums(spec, stat, 6) == dist_statistic(spec, stat).power_sums(6)
+
+
 def test_power_sums_past_the_plan_limit_and_errors():
     # orders whose fold plan is too large are read off the pmf instead
     spec = FamilySpec("strict", 9, 2)
@@ -268,3 +281,31 @@ def test_mixture_identity_exact():
             spec = FamilySpec("strict", n, d)
             assert mixture_identity_check(spec, "length")
             assert mixture_identity_check(spec, "size")
+
+
+def slice_lanes(packed, width):
+    """The lanes of `packed` by one little-endian slice per lane."""
+    raw = packed.to_bytes(-(-packed.bit_length() // (8 * width)) * width, "little")
+    return [int.from_bytes(raw[j : j + width], "little") for j in range(0, len(raw), width)]
+
+
+@given(st.integers(1, 9).flatmap(
+    lambda w: st.tuples(st.just(w), st.lists(st.integers(0, 2 ** (8 * w) - 1), max_size=40))))
+def test_decode_lanes_cast_and_slice_paths_agree(case):
+    width, lanes = case
+    packed = sum(lane << (8 * width * j) for j, lane in enumerate(lanes))
+    got = decode_lanes(packed, width)
+    assert got == slice_lanes(packed, width)
+    top = max((j + 1 for j, lane in enumerate(lanes) if lane), default=0)
+    assert got == lanes[:top]  # every lane up to the top nonzero one, zero lanes included
+
+
+def test_lane_widths_are_padded_for_the_cast():
+    # core length d=1, n=8w: N = 2^(8w-1) paths, exactly w bytes before padding
+    for raw, padded in zip(range(1, 10), (1, 2, 4, 4, 8, 8, 8, 8, 9)):
+        spec = FamilySpec("core", 8 * raw, 1)
+        states, steps, lanes = exactdist._automaton(spec, "length")
+        assert exactdist._lane_bytes(states, exactdist._moves(steps, lanes), "x") == padded
+        assert dist_statistic(spec, "length").atoms == {
+            k: comb(8 * raw - 1, k) for k in range(8 * raw)
+        }

@@ -3,16 +3,19 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from coreperim.distributions import DiscreteDist, point_mass
 from coreperim.exactdist import dist_statistic
 from coreperim.families import FamilySpec
 from coreperim.gaussref import (
+    _inverse_cdf,
     _standardized_steps,
     RATE_CSV_HEADER,
     kolmogorov_to_normal,
     normal_cdf,
+    normal_distances,
     normal_pdf,
     rate_table,
     rate_table_csv,
@@ -201,3 +204,108 @@ def test_standardized_steps_match_fractions_bit_for_bit():
     big = 2**1100
     dist = DiscreteDist({-7: big + 1, 0: 3 * big - 5, 2: big // 3, 11: 2 * big + 12345, 40: 9})
     assert _standardized_steps(dist) == fraction_steps(dist)
+
+
+# ---------------------------------------------------------------- two-pass oracle
+#
+# A frozen copy of the two-pass distances the fused `normal_distances`
+# replaced: dK and dW each walk the steps on their own, and every segment
+# evaluates Phi and its integral afresh.  The fused pass must give the
+# same floats, bit for bit.
+
+
+def _oracle_cdf_integral(t):
+    return t * normal_cdf(t) + normal_pdf(t)
+
+
+def _oracle_segment(level, lo, hi):
+    area = _oracle_cdf_integral(hi) - _oracle_cdf_integral(lo)
+    if normal_cdf(hi) <= level:
+        return level * (hi - lo) - area
+    if normal_cdf(lo) >= level:
+        return area - level * (hi - lo)
+    t_star = _inverse_cdf(level, lo, hi)
+    left = _oracle_cdf_integral(t_star) - _oracle_cdf_integral(lo)
+    right = area - left
+    return (level * (t_star - lo) - left) + (right - level * (hi - t_star))
+
+
+def _oracle_steps(dist):
+    var = dist.variance()
+    if var == 0:
+        raise ValueError("distance to normal needs positive variance")
+    sigma = math.sqrt(float(var))
+    items = dist.items()
+    total = dist.total
+    s1 = sum(v * w for v, w in items)
+    steps = []
+    acc = 0
+    for v, w in items:
+        before = acc / total
+        acc += w
+        steps.append(((v * total - s1) / total / sigma, before, acc / total))
+    return steps
+
+
+def two_pass_distances(dist):
+    steps = _oracle_steps(dist)
+    d_k = 0.0
+    for t, before, after in steps:
+        phi = normal_cdf(t)
+        d_k = max(d_k, abs(before - phi), abs(after - phi))
+    steps = _oracle_steps(dist)
+    d_w = _oracle_cdf_integral(steps[0][0])
+    for (t, _, level), (t_next, _, _) in zip(steps, steps[1:]):
+        d_w += _oracle_segment(level, t, t_next)
+    t_last = steps[-1][0]
+    d_w += normal_pdf(t_last) - t_last * (1.0 - normal_cdf(t_last))
+    return d_k, d_w
+
+
+def _crossings(dist):
+    """Segments whose plateau cuts through Phi (the bisection branch)."""
+    steps = _standardized_steps(dist)
+    return sum(
+        normal_cdf(lo) < level < normal_cdf(hi)
+        for (lo, _, level), (hi, _, _) in zip(steps, steps[1:])
+    )
+
+
+pmfs = st.one_of(
+    # two atoms, from balanced to very skewed
+    st.tuples(st.integers(-30, 30), st.integers(1, 40), st.integers(1, 10**6),
+              st.integers(1, 10**6))
+    .map(lambda a: DiscreteDist({a[0]: a[2], a[0] + a[1]: a[3]})),
+    # a heavy atom and a light far tail: F crosses Phi inside plateaus
+    st.tuples(st.integers(10, 10**4), st.lists(st.tuples(st.integers(1, 60), st.integers(1, 5)),
+                                                 min_size=1, max_size=6))
+    .map(lambda a: DiscreteDist({0: a[0], **dict(a[1])})),
+    # general small pmfs, also with weights far past the float range
+    st.tuples(st.dictionaries(st.integers(-50, 50), st.integers(1, 10**6), min_size=2, max_size=25),
+              st.sampled_from([1, 2**1100]), st.integers(0, 2**64))
+    .map(lambda a: DiscreteDist({v: w * a[1] + a[2] for v, w in a[0].items()})),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(pmfs)
+def test_fused_distances_equal_the_two_pass_oracle(dist):
+    expect = two_pass_distances(dist)
+    assert normal_distances(dist) == expect
+    assert (kolmogorov_to_normal(dist), wasserstein_to_normal(dist)) == expect
+
+
+def test_fused_distances_on_family_laws_and_crossings():
+    laws = [
+        dist_statistic(FamilySpec(family, n, cap), stat)
+        for family, stat, cap, n in (
+            ("core", "length", 3, 9), ("core", "size", 3, 9),
+            ("strict", "length", 2, 12), ("strict", "size", 2, 12),
+            ("selfconj", "power:2", 2, 10), ("selfconj", "power:3", 2, 10),
+            ("selfconj", "durfee", 3, 11), ("selfconj", "size", 2, 12),
+        )
+    ]
+    laws += [DiscreteDist({0: 99, 10: 1}), DiscreteDist({0: 1000, 3: 2, 17: 1, 40: 1})]
+    assert sum(map(_crossings, laws[-2:])) >= 2  # the bisection branch is reached
+    for dist in laws:
+        assert normal_distances(dist) == two_pass_distances(dist), dist
