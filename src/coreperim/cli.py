@@ -11,7 +11,6 @@ no locale anywhere.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from fractions import Fraction
@@ -23,6 +22,8 @@ from .families import ENUMERATION_LIMIT, FamilySpec
 DIFF_TOLERANCE = 0.001 + 1e-9
 # --n and --k ranges wider than this are refused before their list is built
 RANGE_LIMIT = 10_000
+# sample lines per write
+SAMPLE_CHUNK = 1024
 
 
 class _UsageError(Exception):
@@ -117,12 +118,14 @@ def _run_columns(work, jobs: list, workers) -> dict:
         return dict(pool.map(work, jobs))
 
 
-def _write_out(text: str, out_path):
+def _write_out(text, out_path):
+    """Write a string, or an iterable of string chunks, to out_path or stdout."""
+    chunks = [text] if isinstance(text, str) else text
     if out_path:
         with open(out_path, "w") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
 
 
 # ---------------------------------------------------------------- moments
@@ -237,20 +240,24 @@ def cmd_distance(args) -> int:
 
 def cmd_sample(args) -> int:
     spec = _spec_from(args)
-    count = int(args.count)
-    out = []
-    for x in families.sample(spec, seed=int(args.seed), count=count):
-        record = {"x": list(x)}
-        if args.decode:
-            vec = families.as_vector(spec, x)
-            p = (
-                codec.decode_selfconj(vec)
-                if spec.family == "selfconj"
-                else codec.decode_core(vec)
-            )
-            record["partition"] = str(p)
-        out.append(json.dumps(record) + "\n")
-    _write_out("".join(out), args.out)
+    xs = families.sample(spec, seed=int(args.seed), count=int(args.count))
+    decode = None
+    if args.decode:
+        decode = codec.decode_selfconj if spec.family == "selfconj" else codec.decode_core
+    as_vector = families.as_vector
+
+    # the same bytes as json.dumps: the values are ints, the partition digits and commas
+    def line(x) -> str:
+        head = '{"x": [' + ", ".join(map(str, x)) + "]"
+        if decode is None:
+            return head + "}\n"
+        return head + ', "partition": "' + str(decode(as_vector(spec, x))) + '"}\n'
+
+    chunks = (
+        "".join(map(line, xs[start:start + SAMPLE_CHUNK]))
+        for start in range(0, len(xs), SAMPLE_CHUNK)
+    )
+    _write_out(chunks, args.out)
     return 0
 
 

@@ -51,7 +51,7 @@ class CoreVector:
             raise ValueError("capacity d must be non-negative")
         if len(self.x) != self.n - 1:
             raise ValueError(f"vector must have length {self.n - 1}, got {len(self.x)}")
-        if any(not 0 <= v <= self.d for v in self.x):
+        if min(self.x) < 0 or max(self.x) > self.d:
             raise ValueError(f"entries must lie in [0, {self.d}]")
 
     @property
@@ -72,9 +72,10 @@ class DiagVector:
             raise ValueError("capacity e must be non-negative")
         if len(self.x) != self.n:
             raise ValueError(f"vector must have length {self.n}, got {len(self.x)}")
-        if any(not 0 <= v <= self.e for v in self.x):
+        if min(self.x) < 0 or max(self.x) > self.e:
             raise ValueError(f"entries must lie in [0, {self.e}]")
-        for i in range(self.n):
+        # a bad pair shows first at its left index, so half the vector suffices
+        for i in range((self.n + 1) // 2):
             if self.x[i] * self.x[self.n - 1 - i] != 0:
                 raise ValueError(
                     f"entries {i + 1} and {self.n - i} may not both be nonzero"
@@ -96,10 +97,10 @@ def encode_core(p: Partition, n: int, d: int) -> CoreVector:
 
 def decode_core(v: CoreVector) -> Partition:
     """Rebuild the partition whose beta-set classes have sizes v.x."""
-    beta = []
-    for i, count in enumerate(v.x, start=1):
-        beta.extend(i + v.n * j for j in range(count))
-    return from_beta_set(beta)
+    n = v.n
+    return from_beta_set(
+        [i + n * j for i, count in enumerate(v.x, start=1) for j in range(count)]
+    )
 
 
 def stat_length(v: CoreVector) -> int:
@@ -142,22 +143,22 @@ def decode_selfconj(v: DiagVector) -> Partition:
     """Rebuild the self-conjugate partition with the given diagonal classes.
 
     The diagonal hooks h_1 > ... > h_r give the rows through the Durfee
-    square, lambda_i = (h_i - 1)/2 + i; rows below it follow by conjugacy.
+    square, lambda_i = (h_i - 1)/2 + i; rows below it follow by conjugacy:
+    row j > r has c boxes exactly when lambda_{c+1} < j <= lambda_c, reading
+    lambda_{r+1} as r, so they come as one run per c, in O(lambda_1 + r).
     """
-    hooks = sorted(diagonal_hooks(v), reverse=True)
-    parts = [(h - 1) // 2 + i + 1 for i, h in enumerate(hooks)]
-    r = len(parts)
-    if parts:
-        for j in range(r + 1, parts[0] + 1):
-            parts.append(sum(1 for lam in parts[:r] if lam >= j))
+    parts = [(h - 1) // 2 + i for i, h in enumerate(diagonal_hooks(v), start=1)]
+    prev = len(parts)
+    for c in range(len(parts), 0, -1):
+        parts += [c] * (parts[c - 1] - prev)
+        prev = parts[c - 1]
     return Partition(tuple(parts))
 
 
 def diagonal_hooks(v: DiagVector) -> tuple[int, ...]:
     """Expand the class runs {2i-1, 2n+2i-1, ...} into the diagonal hook set."""
-    hooks = []
-    for i, count in enumerate(v.x, start=1):
-        hooks.extend(2 * i - 1 + 2 * v.n * j for j in range(count))
+    step = 2 * v.n
+    hooks = [2 * i - 1 + step * j for i, count in enumerate(v.x, start=1) for j in range(count)]
     return tuple(sorted(hooks, reverse=True))
 
 

@@ -125,26 +125,21 @@ def sample(spec: FamilySpec, seed: int, count: int) -> list[tuple[int, ...]]:
     if count < 0:
         raise ValueError("count must be non-negative")
     gen = SplitMix64(seed)
-    out = []
     if spec.family == "core":
-        for _ in range(count):
-            out.append(tuple(gen.below(spec.cap + 1) for _ in range(spec.width)))
-    elif spec.family == "strict":
+        width, bound = spec.width, spec.cap + 1
+        return [tuple(gen.draws(bound, width)) for _ in range(count)]
+    if spec.family == "strict":
         f = strict_suffix_counts(spec.n, spec.cap)
-        for _ in range(count):
-            out.append(_sample_strict(spec, gen, f))
-    else:
-        for _ in range(count):
-            out.append(_sample_selfconj(spec, gen))
-    return out
+        return [_sample_strict(spec, gen, f) for _ in range(count)]
+    return [_sample_selfconj(spec, gen) for _ in range(count)]
 
 
 def _sample_strict(spec: FamilySpec, gen: SplitMix64, f: list[int]) -> tuple[int, ...]:
-    width, d = spec.width, spec.cap
+    width, below = spec.width, gen.below
     x = [0] * width
     i = 0
     while i < width:
-        u = gen.below(f[i])
+        u = below(f[i])
         if u < f[i + 1]:
             i += 1  # weight f[i+1] for placing 0
         else:
@@ -156,14 +151,13 @@ def _sample_strict(spec: FamilySpec, gen: SplitMix64, f: list[int]) -> tuple[int
 def _sample_selfconj(spec: FamilySpec, gen: SplitMix64) -> tuple[int, ...]:
     n, e = spec.n, spec.cap
     x = [0] * n
-    for i in range(n // 2):
-        # pair (i+1, n-i) in 1-based terms: outcome t=0 is (0,0),
-        # 1..e puts t on the left, e+1..2e puts t-e on the right
-        t = gen.below(2 * e + 1)
-        if 1 <= t <= e:
-            x[i] = t
-        elif t > e:
+    # pair (i+1, n-i) in 1-based terms: outcome t=0 is (0,0),
+    # 1..e puts t on the left, e+1..2e puts t-e on the right
+    for i, t in enumerate(gen.draws(2 * e + 1, n // 2)):
+        if t > e:
             x[n - 1 - i] = t - e
+        elif t:
+            x[i] = t
     return tuple(x)
 
 

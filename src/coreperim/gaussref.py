@@ -59,6 +59,8 @@ def _standardized_steps(dist: DiscreteDist):
     if var == 0:
         raise ValueError("distance to normal needs positive variance")
     sigma = math.sqrt(float(var))
+    if sigma == 0.0:
+        raise ValueError("distance to normal needs a variance above the float underflow")
     steps = []
     acc = 0
     for v, w in items:

@@ -64,7 +64,7 @@ def parse_partition(text: str) -> Partition:
 
 
 def format_partition(p: Partition) -> str:
-    return ",".join(str(x) for x in p.parts)
+    return ",".join(map(str, p.parts))
 
 
 def conjugate(p: Partition) -> Partition:
@@ -100,7 +100,8 @@ def from_beta_set(b) -> Partition:
     """Rebuild the partition whose first-column hooks are exactly `b`.
 
     Sorting b descending as h_1 > ... > h_l forces lambda_i = h_i - l + i;
-    rejects sets where some lambda_i would be non-positive.
+    rejects sets where some lambda_i would be non-positive.  Distinct hooks
+    make the parts non-increasing, so only the last one needs the test.
     """
     hooks = sorted(b, reverse=True)
     ell = len(hooks)
@@ -108,14 +109,12 @@ def from_beta_set(b) -> Partition:
         raise PartitionError("beta-set elements must be distinct")
     if hooks and hooks[-1] < 0:
         raise PartitionError("beta-set elements must be non-negative")
-    parts = []
-    for i, h in enumerate(hooks):
-        lam = h - ell + i + 1
-        if lam < 1:
-            raise PartitionError(
-                f"not a valid first-column hook set: row {i + 1} would get part {lam}"
-            )
-        parts.append(lam)
+    parts = [h - ell + i for i, h in enumerate(hooks, start=1)]
+    if parts and parts[-1] < 1:
+        i, lam = next((i, lam) for i, lam in enumerate(parts, start=1) if lam < 1)
+        raise PartitionError(
+            f"not a valid first-column hook set: row {i} would get part {lam}"
+        )
     return Partition(tuple(parts))
 
 

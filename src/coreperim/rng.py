@@ -14,6 +14,10 @@ Bounded draws use rejection below the bound's bit length: draw
 ceil(k/64) words (first word is least significant), mask to the low k
 bits, reject and redraw while the value is >= bound.  A bound of 1
 consumes nothing.
+
+`draws(bound, count)` is part of the same contract: it returns exactly
+`[below(bound) for _ in range(count)]` and leaves the generator in the same
+state, so a caller may batch its draws without changing the stream.
 """
 from __future__ import annotations
 
@@ -21,6 +25,8 @@ _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _MUL1 = 0xBF58476D1CE4E5B9
 _MUL2 = 0x94D049BB133111EB
+# bounds up to this draw one word per attempt
+_ONE_WORD = 1 << 64
 
 
 class SplitMix64:
@@ -41,8 +47,19 @@ class SplitMix64:
         if bound == 1:
             return 0
         k = (bound - 1).bit_length()
-        words = (k + 63) // 64
         mask = (1 << k) - 1
+        if bound <= _ONE_WORD:
+            # one word per attempt, the mix inlined on a local state
+            s = self._state
+            while True:
+                s = (s + _GAMMA) & _MASK
+                z = ((s ^ (s >> 30)) * _MUL1) & _MASK
+                z = ((z ^ (z >> 27)) * _MUL2) & _MASK
+                r = (z ^ (z >> 31)) & mask
+                if r < bound:
+                    self._state = s
+                    return r
+        words = (k + 63) // 64
         while True:
             r = 0
             for j in range(words):
@@ -50,3 +67,30 @@ class SplitMix64:
             r &= mask
             if r < bound:
                 return r
+
+    def draws(self, bound: int, count: int) -> list[int]:
+        """`count` draws of below(bound): the same values, the same words consumed."""
+        if bound <= 0:
+            raise ValueError("bound must be positive")
+        if count < 0:
+            raise ValueError("count must be non-negative")
+        if bound == 1:
+            return [0] * count
+        if bound > _ONE_WORD:
+            below = self.below
+            return [below(bound) for _ in range(count)]
+        mask = (1 << (bound - 1).bit_length()) - 1
+        s = self._state
+        out = []
+        append = out.append
+        for _ in range(count):
+            while True:
+                s = (s + _GAMMA) & _MASK
+                z = ((s ^ (s >> 30)) * _MUL1) & _MASK
+                z = ((z ^ (z >> 27)) * _MUL2) & _MASK
+                r = (z ^ (z >> 31)) & mask
+                if r < bound:
+                    append(r)
+                    break
+        self._state = s
+        return out

@@ -7,7 +7,7 @@ import tracemalloc
 
 import pytest
 
-from coreperim.cli import DIFF_TOLERANCE, RANGE_LIMIT, main, parse_range
+from coreperim.cli import DIFF_TOLERANCE, RANGE_LIMIT, SAMPLE_CHUNK, main, parse_range
 from coreperim.gaussref import RATE_CSV_HEADER
 
 
@@ -313,6 +313,35 @@ def test_sample_count_zero_writes_nothing(capsys):
                        "--seed", "3", "--count", "0")
     assert code == 0
     assert out == ""
+
+
+@pytest.mark.parametrize("family,flag", [("core", "--d"), ("strict", "--d"), ("selfconj", "--e")])
+def test_sample_chunked_output_same_bytes_to_file_and_stdout(tmp_path, capsys, family, flag):
+    count = SAMPLE_CHUNK + 300
+    args = ["sample", "--family", family, flag, "2", "--n", "9", "--seed", "5",
+            "--count", str(count), "--decode"]
+    code, out, _ = run(capsys, *args)
+    assert code == 0
+    target = tmp_path / "out.jsonl"
+    assert run(capsys, *args, "--out", str(target)) == (0, "", "")
+    assert target.read_bytes() == out.encode()
+    lines = out.splitlines()
+    assert len(lines) == count
+    # each line is exactly what json.dumps makes of its record
+    assert all(json.dumps(json.loads(line)) == line for line in lines)
+
+
+def test_sample_empty_and_negative_counts(tmp_path, capsys):
+    base = ["sample", "--family", "selfconj", "--e", "2", "--n", "6", "--seed", "3", "--decode"]
+    target = tmp_path / "zero.jsonl"
+    assert run(capsys, *base, "--count", "0", "--out", str(target)) == (0, "", "")
+    assert target.read_bytes() == b""
+    code, out, err = run(capsys, *base, "--count", "-1")
+    assert (code, out) == (1, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+    refused = tmp_path / "refused.jsonl"
+    assert run(capsys, *base, "--count", "-1", "--out", str(refused))[0] == 1
+    assert not refused.exists()
 
 
 def test_config_file_fills_missing_flags(tmp_path, capsys):

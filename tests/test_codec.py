@@ -1,3 +1,4 @@
+import random
 from itertools import product
 
 import pytest
@@ -63,6 +64,15 @@ def test_vector_validation():
         DiagVector(4, 2, (1, 0, 0, 2))  # coupled pair both nonzero
     with pytest.raises(ValueError):
         DiagVector(3, 2, (0, 0))
+    with pytest.raises(ValueError, match=r"entries must lie in \[0, 2\]"):
+        CoreVector(4, 2, (0, -1, 0))
+    with pytest.raises(ValueError, match=r"entries must lie in \[0, 2\]"):
+        DiagVector(4, 2, (0, 3, 0, 0))
+    # the first bad pair is named by its left index; odd n forces the middle to 0
+    with pytest.raises(ValueError, match="entries 2 and 5 may not"):
+        DiagVector(6, 2, (0, 1, 0, 0, 2, 1))
+    with pytest.raises(ValueError, match="entries 3 and 3 may not"):
+        DiagVector(5, 2, (0, 0, 1, 0, 0))
 
 
 def test_encode_error_kinds():
@@ -114,6 +124,35 @@ def test_selfconj_round_trip_exhaustive():
                 assert encode_selfconj(p, n, e) == v
                 seen.add(p.parts)
             assert len(seen) == len(vecs)
+
+
+def quadratic_selfconj_parts(v):
+    """The O(lambda_1 * r) construction decode_selfconj replaced, kept as an oracle."""
+    hooks = sorted(diagonal_hooks(v), reverse=True)
+    parts = [(h - 1) // 2 + i + 1 for i, h in enumerate(hooks)]
+    r = len(parts)
+    if parts:
+        for j in range(r + 1, parts[0] + 1):
+            parts.append(sum(1 for lam in parts[:r] if lam >= j))
+    return tuple(parts)
+
+
+def test_selfconj_decoder_matches_quadratic_oracle():
+    rng = random.Random(2024)
+    for _ in range(300):
+        n, e = rng.randint(2, 60), rng.randint(0, 3)
+        x = [0] * n
+        for i in range(n // 2):
+            t = rng.randint(-e, e)
+            if t > 0:
+                x[i] = t
+            elif t < 0:
+                x[n - 1 - i] = -t
+        v = DiagVector(n, e, tuple(x))
+        p = decode_selfconj(v)
+        assert p.parts == quadratic_selfconj_parts(v)
+        assert is_self_conjugate(p)
+        assert encode_selfconj(p, n, e) == v
 
 
 def test_core_stats_match_decoded_partition():

@@ -3,6 +3,7 @@ import json
 from math import comb
 
 import pytest
+from hypothesis import given, strategies as st
 from scipy.stats import chi2
 
 from coreperim import codec
@@ -166,6 +167,63 @@ def test_sampler_v1_streams_are_pinned(family):
     assert sample(spec, seed=7, count=3) == head
     stream = json.dumps(sample(spec, seed=7, count=1000)).encode()
     assert hashlib.sha256(stream).hexdigest() == digest
+
+
+# v1 streams at the edges of the bounded draw, seed 7, generated before
+# `draws` and the one-word fast path existed: strict n=100 d=2 has
+# f[0] > 2^64 (two-word draws), core d=4 has bound 5 (rejection of 5..7),
+# selfconj e=3 has bound 7.  The first three vectors as digit strings, and
+# the sha256 of json.dumps of the first 500.
+V1_EDGE_STREAMS = {
+    ("strict", 100, 2): (
+        [
+            "1001010020200102001020100001002000010000001000101000002020010202002000"
+            "10202001002001020002020200101",
+            "0002020200100202020020010002000100201001001000000101020010102002000102"
+            "00100010202020202010200101020",
+            "0000020001001010020000000020020202020101010020020101010201000002010010"
+            "00100010020010202001010200010",
+        ],
+        "d68c3d01b9e9a2935ba69524b5e4d221a51ce71fb5bdd53313d7a071897addf1",
+    ),
+    ("core", 12, 4): (
+        ["42321113400", "00120402130", "31104202223"],
+        "c432f07f487a315a6800483be778542faba353ec7eada9ab4a6ece527f4217ce",
+    ),
+    ("selfconj", 12, 3): (
+        ["023210300001", "011300310003", "000000202030"],
+        "e408fc9575dd713385c4fe77dfcb038a90206da896471e18e814f626604809bf",
+    ),
+}
+
+
+@pytest.mark.parametrize("key", list(V1_EDGE_STREAMS), ids=lambda k: "-".join(map(str, k)))
+def test_sampler_v1_edge_streams_are_pinned(key):
+    head, digest = V1_EDGE_STREAMS[key]
+    spec = FamilySpec(*key)
+    assert ["".join(map(str, x)) for x in sample(spec, seed=7, count=3)] == head
+    stream = json.dumps(sample(spec, seed=7, count=500)).encode()
+    assert hashlib.sha256(stream).hexdigest() == digest
+
+
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    # small, around the one-word limit 2^64, and anywhere up to 2^130
+    bound=st.one_of(st.integers(1, 64), st.integers(2**63, 2**65), st.integers(1, 2**130)),
+    count=st.integers(0, 40),
+)
+def test_splitmix_draws_equal_repeated_below(seed, bound, count):
+    batched, single = SplitMix64(seed), SplitMix64(seed)
+    assert batched.draws(bound, count) == [single.below(bound) for _ in range(count)]
+    assert batched._state == single._state
+
+
+def test_splitmix_draws_rejects_bad_arguments():
+    for count in (0, 3):
+        with pytest.raises(ValueError):
+            SplitMix64(1).draws(0, count)
+    with pytest.raises(ValueError):
+        SplitMix64(1).draws(5, -1)
 
 
 def test_sampler_prefix_stability():

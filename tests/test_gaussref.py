@@ -86,6 +86,16 @@ def test_distances_reject_zero_variance():
         wasserstein_to_normal(point_mass(3))
 
 
+@pytest.mark.parametrize(
+    "distance", [normal_distances, kolmogorov_to_normal, wasserstein_to_normal]
+)
+def test_distances_reject_variance_below_float_range(distance):
+    # the exact variance is about 2^-1100: positive, but float() rounds it to 0
+    tiny = DiscreteDist({0: 1, 1: 2**1100})
+    with pytest.raises(ValueError, match="float underflow"):
+        distance(tiny)
+
+
 def test_two_point_distances_by_hand():
     d = DiscreteDist({-1: 1, 1: 1})
     # standardized support is already {-1, +1}

@@ -75,6 +75,21 @@ def test_beta_set_is_first_column_hooks():
     assert from_beta_set(set()) == from_parts(())
 
 
+def test_from_beta_set_rejections_name_the_first_bad_row():
+    bad_row = "not a valid first-column hook set: row {} would get part {}"
+    for beta, row, part in (({0}, 1, 0), ({1, 0}, 1, 0), ({3, 1, 0}, 2, 0),
+                            ({4, 2, 0}, 3, 0), ({7, 5, 0}, 3, 0)):
+        with pytest.raises(PartitionError) as err:
+            from_beta_set(beta)
+        assert str(err.value) == bad_row.format(row, part)
+    with pytest.raises(PartitionError, match="^beta-set elements must be distinct$"):
+        from_beta_set([3, 3, 1])
+    with pytest.raises(PartitionError, match="^beta-set elements must be distinct$"):
+        from_beta_set([2, 0, 0])
+    with pytest.raises(PartitionError, match="^beta-set elements must be non-negative$"):
+        from_beta_set([2, -1])
+
+
 def test_conjugate_by_hand():
     assert conjugate(from_parts((6, 3, 2, 1))) == from_parts((4, 3, 2, 1, 1, 1))
     assert conjugate(from_parts(())) == from_parts(())
