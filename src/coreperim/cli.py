@@ -22,8 +22,6 @@ from .families import ENUMERATION_LIMIT, FamilySpec
 DIFF_TOLERANCE = 0.001 + 1e-9
 # --n and --k ranges wider than this are refused before their list is built
 RANGE_LIMIT = 10_000
-# sample lines per write
-SAMPLE_CHUNK = 1024
 
 
 class _UsageError(Exception):
@@ -118,14 +116,12 @@ def _run_columns(work, jobs: list, workers) -> dict:
         return dict(pool.map(work, jobs))
 
 
-def _write_out(text, out_path):
-    """Write a string, or an iterable of string chunks, to out_path or stdout."""
-    chunks = [text] if isinstance(text, str) else text
+def _write_out(text: str, out_path):
     if out_path:
         with open(out_path, "w") as fh:
-            fh.writelines(chunks)
+            fh.write(text)
     else:
-        sys.stdout.writelines(chunks)
+        sys.stdout.write(text)
 
 
 # ---------------------------------------------------------------- moments
@@ -240,7 +236,6 @@ def cmd_distance(args) -> int:
 
 def cmd_sample(args) -> int:
     spec = _spec_from(args)
-    xs = families.sample(spec, seed=int(args.seed), count=int(args.count))
     decode = None
     if args.decode:
         decode = codec.decode_selfconj if spec.family == "selfconj" else codec.decode_core
@@ -253,11 +248,9 @@ def cmd_sample(args) -> int:
             return head + "}\n"
         return head + ', "partition": "' + str(decode(as_vector(spec, x))) + '"}\n'
 
-    chunks = (
-        "".join(map(line, xs[start:start + SAMPLE_CHUNK]))
-        for start in range(0, len(xs), SAMPLE_CHUNK)
-    )
-    _write_out(chunks, args.out)
+    # the vectors are freed before the join, so the peak holds the lines and the text
+    lines = list(map(line, families.sample(spec, seed=int(args.seed), count=int(args.count))))
+    _write_out("".join(lines), args.out)
     return 0
 
 

@@ -17,7 +17,10 @@ consumes nothing.
 
 `draws(bound, count)` is part of the same contract: it returns exactly
 `[below(bound) for _ in range(count)]` and leaves the generator in the same
-state, so a caller may batch its draws without changing the stream.
+state, so a caller may batch its draws without changing the stream.  Every
+word comes from one `next64` call: the number of words drawn is both the
+number of those calls and the state's advance times the inverse of the
+increment mod 2^64.
 """
 from __future__ import annotations
 
@@ -25,8 +28,6 @@ _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _MUL1 = 0xBF58476D1CE4E5B9
 _MUL2 = 0x94D049BB133111EB
-# bounds up to this draw one word per attempt
-_ONE_WORD = 1 << 64
 
 
 class SplitMix64:
@@ -47,19 +48,8 @@ class SplitMix64:
         if bound == 1:
             return 0
         k = (bound - 1).bit_length()
-        mask = (1 << k) - 1
-        if bound <= _ONE_WORD:
-            # one word per attempt, the mix inlined on a local state
-            s = self._state
-            while True:
-                s = (s + _GAMMA) & _MASK
-                z = ((s ^ (s >> 30)) * _MUL1) & _MASK
-                z = ((z ^ (z >> 27)) * _MUL2) & _MASK
-                r = (z ^ (z >> 31)) & mask
-                if r < bound:
-                    self._state = s
-                    return r
         words = (k + 63) // 64
+        mask = (1 << k) - 1
         while True:
             r = 0
             for j in range(words):
@@ -69,28 +59,30 @@ class SplitMix64:
                 return r
 
     def draws(self, bound: int, count: int) -> list[int]:
-        """`count` draws of below(bound): the same values, the same words consumed."""
+        """`count` draws of below(bound): the same values, the same words consumed.
+
+        The mask and word shifts are worked out once for the batch; every
+        word still comes from next64.
+        """
         if bound <= 0:
             raise ValueError("bound must be positive")
         if count < 0:
             raise ValueError("count must be non-negative")
         if bound == 1:
             return [0] * count
-        if bound > _ONE_WORD:
-            below = self.below
-            return [below(bound) for _ in range(count)]
-        mask = (1 << (bound - 1).bit_length()) - 1
-        s = self._state
+        k = (bound - 1).bit_length()
+        mask = (1 << k) - 1
+        shifts = range(64, k, 64)  # the second and later words of a wide draw
+        nxt = self.next64
         out = []
         append = out.append
         for _ in range(count):
             while True:
-                s = (s + _GAMMA) & _MASK
-                z = ((s ^ (s >> 30)) * _MUL1) & _MASK
-                z = ((z ^ (z >> 27)) * _MUL2) & _MASK
-                r = (z ^ (z >> 31)) & mask
+                r = nxt()
+                for shift in shifts:
+                    r |= nxt() << shift
+                r &= mask
                 if r < bound:
                     append(r)
                     break
-        self._state = s
         return out

@@ -7,7 +7,7 @@ import tracemalloc
 
 import pytest
 
-from coreperim.cli import DIFF_TOLERANCE, RANGE_LIMIT, SAMPLE_CHUNK, main, parse_range
+from coreperim.cli import DIFF_TOLERANCE, RANGE_LIMIT, main, parse_range
 from coreperim.gaussref import RATE_CSV_HEADER
 
 
@@ -316,8 +316,8 @@ def test_sample_count_zero_writes_nothing(capsys):
 
 
 @pytest.mark.parametrize("family,flag", [("core", "--d"), ("strict", "--d"), ("selfconj", "--e")])
-def test_sample_chunked_output_same_bytes_to_file_and_stdout(tmp_path, capsys, family, flag):
-    count = SAMPLE_CHUNK + 300
+def test_sample_out_file_same_bytes_as_stdout(tmp_path, capsys, family, flag):
+    count = 1300
     args = ["sample", "--family", family, flag, "2", "--n", "9", "--seed", "5",
             "--count", str(count), "--decode"]
     code, out, _ = run(capsys, *args)

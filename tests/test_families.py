@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.stats import chi2
 
-from coreperim import codec
+from coreperim import codec, families
 from coreperim.families import (
     FAMILIES,
     FamilySpec,
@@ -170,7 +170,7 @@ def test_sampler_v1_streams_are_pinned(family):
 
 
 # v1 streams at the edges of the bounded draw, seed 7, generated before
-# `draws` and the one-word fast path existed: strict n=100 d=2 has
+# `draws` existed: strict n=100 d=2 has
 # f[0] > 2^64 (two-word draws), core d=4 has bound 5 (rejection of 5..7),
 # selfconj e=3 has bound 7.  The first three vectors as digit strings, and
 # the sha256 of json.dumps of the first 500.
@@ -224,6 +224,31 @@ def test_splitmix_draws_rejects_bad_arguments():
             SplitMix64(1).draws(0, count)
     with pytest.raises(ValueError):
         SplitMix64(1).draws(5, -1)
+
+
+@pytest.mark.parametrize("key", list(V1_EDGE_STREAMS), ids=lambda k: "-".join(map(str, k)))
+def test_every_word_comes_from_next64(monkeypatch, key):
+    # the words read off the state's advance equal the next64 calls, so a
+    # word count may be taken either way
+    made, calls = [], 0
+    plain = SplitMix64.next64
+
+    class Counted(SplitMix64):
+        def __init__(self, seed):
+            super().__init__(seed)
+            made.append(self)
+
+        def next64(self):
+            nonlocal calls
+            calls += 1
+            return plain(self)
+
+    monkeypatch.setattr(families, "SplitMix64", Counted)
+    sample(FamilySpec(*key), seed=7, count=50)
+    (gen,) = made
+    gamma_inv = pow(0x9E3779B97F4A7C15, -1, 2**64)
+    assert calls > 0
+    assert ((gen._state - 7) * gamma_inv) % 2**64 == calls
 
 
 def test_sampler_prefix_stability():
