@@ -63,16 +63,26 @@ def _load_config(path: str) -> dict[str, str]:
     return out
 
 
-def _fill_from_config(args):
-    """CLI flags win; config supplies anything left unset."""
-    if not getattr(args, "config", None):
-        return
-    conf = _load_config(args.config)
+# built-in values, applied after the config file to flags still unset
+_DEFAULTS = {"stat": "length", "k": "3..8", "count": "1", "decode": False, "quick": False}
+_SWITCHES = ("decode", "quick")
+
+
+def _resolve_flags(args):
+    """Every flag as the command line, else the config file, else its built-in value."""
+    conf = _load_config(args.config) if args.config else {}
     for key, value in conf.items():
         attr = key.replace("-", "_")
-        if not hasattr(args, attr):
+        if attr in ("command", "func", "config") or not hasattr(args, attr):
             raise ValueError(f"unknown config key {key!r}")
+        if attr in _SWITCHES:
+            if value not in ("true", "false"):
+                raise ValueError(f"config key {key!r} takes true or false, got {value!r}")
+            value = value == "true"
         if getattr(args, attr) is None:
+            setattr(args, attr, value)
+    for attr, value in _DEFAULTS.items():
+        if getattr(args, attr, False) is None:
             setattr(args, attr, value)
 
 
@@ -95,10 +105,6 @@ def _spec_from(args) -> FamilySpec:
     if len(ns) != 1:
         raise ValueError("this subcommand takes a single --n, not a range")
     return FamilySpec(family, ns[0], cap)
-
-
-def _stat_arg(args):
-    return args.stat if args.stat is not None else "length"
 
 
 def _run_columns(work, jobs: list, workers) -> dict:
@@ -151,9 +157,8 @@ def _check_moment_request(family: str, cap: int, ns: list[int], ks: list[int], s
 def cmd_moments(args) -> int:
     family, cap, ns = _sweep_from(args)
     ks = parse_range(args.k)
-    stat = _stat_arg(args)
-    _check_moment_request(family, cap, ns, ks, stat)
-    jobs = [(family, cap, n, stat, ks[0], ks[-1]) for n in ns]
+    _check_moment_request(family, cap, ns, ks, args.stat)
+    jobs = [(family, cap, n, args.stat, ks[0], ks[-1]) for n in ns]
     columns = _run_columns(_moment_column, jobs, args.jobs)
     lines = ["k," + ",".join(str(n) for n in ns)]
     for row, k in enumerate(ks):
@@ -207,7 +212,7 @@ def _diff_tables(produced: str, golden_path: str) -> int:
 
 def cmd_dist(args) -> int:
     spec = _spec_from(args)
-    dist = dist_statistic(spec, _stat_arg(args))
+    dist = dist_statistic(spec, args.stat)
     lines = [f"# total={dist.total}", "value,weight"]
     lines += [f"{v},{w}" for v, w in dist.items()]
     _write_out("\n".join(lines) + "\n", args.out)
@@ -224,8 +229,7 @@ def _distance_row(job):
 
 def cmd_distance(args) -> int:
     family, cap, ns = _sweep_from(args)
-    stat = _stat_arg(args)
-    jobs = [(family, cap, n, stat) for n in ns]
+    jobs = [(family, cap, n, args.stat) for n in ns]
     produced = _run_columns(_distance_row, jobs, args.jobs)
     rows = [produced[n] for n in ns]
     _write_out(gaussref.rate_table_csv(rows), args.out)
@@ -236,6 +240,8 @@ def cmd_distance(args) -> int:
 
 def cmd_sample(args) -> int:
     spec = _spec_from(args)
+    if args.seed is None:
+        raise ValueError("--seed is required")
     decode = None
     if args.decode:
         decode = codec.decode_selfconj if spec.family == "selfconj" else codec.decode_core
@@ -389,7 +395,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("moments", help="standardized-moment table (rows k, columns n)")
     add_common(p)
-    p.add_argument("--k", help="moment orders, range a..b", default="3..8")
+    p.add_argument("--k", help="moment orders, range a..b (default 3..8)")
     p.add_argument("--jobs", help="worker processes, capped at the column count and the CPU count")
     p.add_argument("--diff", help="golden CSV to compare against (exit 2 on drift)")
     p.set_defaults(func=cmd_moments)
@@ -405,13 +411,13 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("sample", help="uniform vectors as JSON lines")
     add_common(p)
-    p.add_argument("--seed", required=True, help="PRNG seed (documented stream v1)")
-    p.add_argument("--count", default="1")
-    p.add_argument("--decode", action="store_true", help="include the partition")
+    p.add_argument("--seed", help="PRNG seed (documented stream v1), required")
+    p.add_argument("--count", help="vectors to draw (default 1)")
+    p.add_argument("--decode", action="store_true", default=None, help="include the partition")
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("verify", help="run the invariant suite")
-    p.add_argument("--quick", action="store_true", help="smaller exhaustive scales")
+    p.add_argument("--quick", action="store_true", default=None, help="smaller exhaustive scales")
     p.add_argument("--limit", help="enumeration size guard")
     p.add_argument("--config", help="key=value file supplying unset flags")
     p.set_defaults(func=cmd_verify)
@@ -423,7 +429,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        _fill_from_config(args)
+        _resolve_flags(args)
         return args.func(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

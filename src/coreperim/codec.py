@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from .partitions import (
     Partition,
     beta_set,
+    column_heights,
     from_beta_set,
     is_s_core,
     is_self_conjugate,
@@ -143,16 +144,11 @@ def decode_selfconj(v: DiagVector) -> Partition:
     """Rebuild the self-conjugate partition with the given diagonal classes.
 
     The diagonal hooks h_1 > ... > h_r give the rows through the Durfee
-    square, lambda_i = (h_i - 1)/2 + i; rows below it follow by conjugacy:
-    row j > r has c boxes exactly when lambda_{c+1} < j <= lambda_c, reading
-    lambda_{r+1} as r, so they come as one run per c, in O(lambda_1 + r).
+    square, lambda_i = (h_i - 1)/2 + i; by conjugacy row j > r is column j
+    of those r rows, in O(lambda_1 + r).
     """
-    parts = [(h - 1) // 2 + i for i, h in enumerate(diagonal_hooks(v), start=1)]
-    prev = len(parts)
-    for c in range(len(parts), 0, -1):
-        parts += [c] * (parts[c - 1] - prev)
-        prev = parts[c - 1]
-    return Partition(tuple(parts))
+    rows = [(h - 1) // 2 + i for i, h in enumerate(diagonal_hooks(v), start=1)]
+    return Partition(tuple(rows + column_heights(rows)[len(rows):]))
 
 
 def diagonal_hooks(v: DiagVector) -> tuple[int, ...]:

@@ -7,14 +7,25 @@ are logs, square roots, and the reported quotients.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
 from math import comb
 from typing import Iterable, Sequence
 
 from .distributions import DiscreteDist
 from .exactdist import decode_lanes, dist_statistic, size_coefficients
-from .families import FamilySpec, normalize_stat
+from .families import FamilySpec, normalize_stat, stat_name
+
+
+def _to_json(value):
+    """JSON-ready data: dataclass fields as a dict, Fractions as exact strings, tuples as lists."""
+    if is_dataclass(value):
+        return {f.name: _to_json(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, Fraction):
+        return str(value)
+    if isinstance(value, tuple):
+        return [_to_json(v) for v in value]
+    return value
 
 
 @dataclass(frozen=True)
@@ -40,21 +51,7 @@ class ConditionReport:
     nondegeneracy_max: Fraction | None
 
     def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "d": self.d,
-            "pair_coupling": self.pair_coupling,
-            "arithmetic_exact": self.arithmetic_exact,
-            "zero_at_origin": self.zero_at_origin,
-            "var_x": str(self.var_x),
-            "inf_var_g": str(self.inf_var_g),
-            "sup_g_sq": str(self.sup_g_sq),
-            "near_independence_ratio": self.near_independence_ratio,
-            "boundedness_ratio": self.boundedness_ratio,
-            "nondegeneracy_max": None
-            if self.nondegeneracy_max is None
-            else str(self.nondegeneracy_max),
-        }
+        return _to_json(self)
 
 
 def check_size_conditions(n: int, d: int) -> ConditionReport:
@@ -137,26 +134,7 @@ class TailReport:
         return min(vals) if vals else None
 
     def to_json(self) -> dict:
-        return {
-            "family": self.family,
-            "stat": self.stat,
-            "n": self.n,
-            "cap": self.cap,
-            "scale": self.scale,
-            "mean": str(self.mean),
-            "variance": str(self.variance),
-            "witnessed_c": self.witnessed_c,
-            "entries": [
-                {
-                    "multiple": str(e.multiple),
-                    "r": e.r,
-                    "tail": str(e.tail),
-                    "tail_float": e.tail_float,
-                    "c_witness": e.c_witness,
-                }
-                for e in self.entries
-            ],
-        }
+        return {**_to_json(self), "witnessed_c": self.witnessed_c}
 
 
 def _tail_scale(family: str, stat, n: int, cap: int) -> int:
@@ -197,7 +175,7 @@ def concentration_check(family: str, stat, n: int, cap: int, multiples: Sequence
         )
     return TailReport(
         family=family,
-        stat=stat if isinstance(stat, str) else f"power:{stat[1]}",
+        stat=stat_name(stat),
         n=n,
         cap=cap,
         scale=scale,

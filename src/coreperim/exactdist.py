@@ -53,7 +53,7 @@ from .distributions import (  # convolve: re-exported for callers of this module
     convolve,
     round_half_away,
 )
-from .families import FamilySpec, enumerate_family, normalize_stat
+from .families import FamilySpec, enumerate_family, normalize_stat, stat_name
 
 __all__ = [
     "DiscreteDist",
@@ -272,7 +272,7 @@ def moments(dist: DiscreteDist, k_max: int, digits: int = 3, **meta) -> MomentRe
 def moment_report(spec: FamilySpec, stat, k_max: int, digits: int = 3) -> MomentReport:
     """`moments(dist_statistic(spec, stat), k_max)` without building the pmf."""
     raw = power_sums(spec, stat, max(k_max, 2))
-    meta = {"family": spec.family, "stat": str(stat), "n": spec.n, "cap": spec.cap}
+    meta = {"family": spec.family, "stat": stat_name(stat), "n": spec.n, "cap": spec.cap}
     return _report(raw, k_max, digits, meta)
 
 
@@ -468,6 +468,8 @@ def _closed_forms_size(n: int, d: int, t: tuple[int, ...]) -> tuple[Fraction, Fr
     Centered coordinates: X uniform on {-(d-1)/2, ..., (d-1)/2} and
     y = x + (d+1)/2, with g_i and a from `size_coefficients`.
     """
+    if not t:
+        return Fraction(0), Fraction(0)  # the zero vector alone, size 0 at any cap
     q, b, a = size_coefficients(n, d)
     c = Fraction(d + 1, 2)
     size = len(t)
@@ -506,7 +508,8 @@ def mixture_identity_check(spec: FamilySpec, stat) -> bool:
     support must rebuild the unconditional distribution atom for atom.
     """
     acc: dict[int, int] = {}
-    for t in legal_supports(spec.n):
+    # at cap 0 the zero vector is the only member, on the empty support
+    for t in legal_supports(spec.n) if spec.cap else [()]:
         for v, w in conditional_stat(spec, stat, t).dist.items():
             acc[v] = acc.get(v, 0) + w
     return DiscreteDist(acc) == dist_statistic(spec, stat)

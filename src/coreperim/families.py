@@ -8,7 +8,6 @@ reproducible from (spec, seed, count); see rng.py for the stream contract.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -46,12 +45,12 @@ class FamilySpec:
 
 
 def count_family(spec: FamilySpec) -> int:
-    """Closed-form cardinality of the family."""
+    """Cardinality of the family: closed forms, and for strict the suffix-count recurrence."""
     n, cap = spec.n, spec.cap
     if spec.family == "core":
         return (cap + 1) ** (n - 1)
     if spec.family == "strict":
-        return sum(math.comb(n - k, k) * cap**k for k in range(n // 2 + 1))
+        return strict_suffix_counts(n, cap)[0]
     # selfconj: each of the floor(n/2) antipodal pairs independently takes one
     # of 2e+1 assignments; the middle coordinate of odd n is forced to zero
     return (2 * cap + 1) ** (n // 2)
@@ -204,6 +203,12 @@ def normalize_stat(stat) -> tuple[str, int | None]:
             raise ValueError("power statistic needs a non-negative exponent, e.g. power:2")
         return kind, int(k)
     return kind, None
+
+
+def stat_name(stat) -> str:
+    """The printed name of a statistic id: "length", "size", "durfee" or "power:k"."""
+    kind, k = normalize_stat(stat)
+    return kind if k is None else f"power:{k}"
 
 
 def oracle_distribution(spec: FamilySpec, stat, limit: int = ENUMERATION_LIMIT) -> DiscreteDist:

@@ -46,7 +46,8 @@ def _standardized_steps(dist: DiscreteDist):
     pass), the variance is the exact rational (N*s2 - s1^2)/N^2.  The exact
     rationals x - mu = (v*N - s1)/N and F = acc/N are rounded by int / int,
     which is correctly rounded as float(Fraction) is, so no Fraction is
-    needed per atom.
+    needed per atom.  A variance or a centred point past the float range
+    is refused with ValueError.
     """
     items = dist.items()
     total = dist.total
@@ -58,15 +59,19 @@ def _standardized_steps(dist: DiscreteDist):
     var = Fraction(total * s2 - s1 * s1, total * total)
     if var == 0:
         raise ValueError("distance to normal needs positive variance")
-    sigma = math.sqrt(float(var))
-    if sigma == 0.0:
-        raise ValueError("distance to normal needs a variance above the float underflow")
-    steps = []
-    acc = 0
-    for v, w in items:
-        before = acc / total
-        acc += w
-        steps.append(((v * total - s1) / total / sigma, before, acc / total))
+    try:
+        sigma = math.sqrt(float(var))
+        if sigma == 0.0:
+            raise ValueError("distance to normal needs a variance above the float underflow")
+        steps = []
+        acc = 0
+        for v, w in items:
+            before = acc / total
+            acc += w
+            steps.append(((v * total - s1) / total / sigma, before, acc / total))
+    except OverflowError:
+        # the variance, or a point's distance from the mean, is past the float range
+        raise ValueError("distance to normal needs a law within the float range") from None
     return steps
 
 
@@ -157,7 +162,7 @@ class NormalDistanceResult:
 def rate_table(family: str, stat, cap: int, n_range: Iterable[int]) -> list[NormalDistanceResult]:
     """Per-n distances of the statistic to the normal, with sqrt(n) scalings."""
     from .exactdist import dist_statistic
-    from .families import FamilySpec
+    from .families import FamilySpec, stat_name
 
     out = []
     for n in n_range:
@@ -165,7 +170,7 @@ def rate_table(family: str, stat, cap: int, n_range: Iterable[int]) -> list[Norm
         out.append(
             NormalDistanceResult(
                 family=family,
-                stat=stat if isinstance(stat, str) else f"power:{stat[1]}",
+                stat=stat_name(stat),
                 cap=cap,
                 n=n,
                 d_k=d_k,

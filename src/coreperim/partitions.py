@@ -67,14 +67,24 @@ def format_partition(p: Partition) -> str:
     return ",".join(map(str, p.parts))
 
 
+def column_heights(parts) -> list[int]:
+    """Column lengths of the diagram whose rows are `parts` (non-increasing).
+
+    Column j has c boxes exactly when lambda_{c+1} < j <= lambda_c, reading
+    lambda_{l+1} as 0, so the heights come as one run per row, in
+    O(lambda_1 + l).
+    """
+    heights: list[int] = []
+    prev = 0
+    for c in range(len(parts), 0, -1):
+        heights += [c] * (parts[c - 1] - prev)
+        prev = parts[c - 1]
+    return heights
+
+
 def conjugate(p: Partition) -> Partition:
     """Transpose the Young diagram (rows become columns)."""
-    if not p.parts:
-        return p
-    cols = []
-    for j in range(p.parts[0]):
-        cols.append(sum(1 for part in p.parts if part > j))
-    return Partition(tuple(cols))
+    return Partition(tuple(column_heights(p.parts)))
 
 
 def hook_lengths(p: Partition) -> list[list[int]]:
@@ -83,7 +93,7 @@ def hook_lengths(p: Partition) -> list[list[int]]:
     The hook of box (i, j) counts the box itself plus boxes to its right and
     below: lambda_i - j + (column height at j) - i - 1 in 0-based indices.
     """
-    conj = conjugate(p).parts
+    conj = column_heights(p.parts)
     grid = []
     for i, row_len in enumerate(p.parts):
         grid.append([row_len - j + conj[j] - i - 1 for j in range(row_len)])
@@ -154,7 +164,7 @@ def main_diagonal_hooks(p: Partition) -> tuple[int, ...]:
     For a self-conjugate partition these are distinct odd numbers and they
     determine the partition.
     """
-    conj = conjugate(p).parts
+    conj = column_heights(p.parts)
     hooks = []
     for i in range(durfee_length(p)):
         hooks.append(p.parts[i] - i + conj[i] - i - 1)

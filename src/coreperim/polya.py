@@ -196,19 +196,11 @@ def _sign_changes(sites, bound, bound_den, s_left, s_right):
     return out
 
 
-def _refine(coeffs, terms, a, b, den, s_lo):
-    # hi - lo > max(1, |lo|, |hi|) / _WIDTH_SCALE, multiplied through by S
-    while (b - a) * _WIDTH_SCALE > max(den, abs(a), abs(b)):
-        mid = a + b
-        den *= 2
-        s = _sign(coeffs, mid, den, terms)
-        if s == 0:
-            return mid, mid, den
-        if s == s_lo:
-            a, b = mid, 2 * b
-        else:
-            a, b = 2 * a, mid
-    return a, b, den
+def _refine(coeffs, terms, br: list) -> None:
+    # bisect while hi - lo > max(1, |lo|, |hi|) / _WIDTH_SCALE, multiplied
+    # through by S; an exact root (a == b) has width 0 and stops at once
+    while (br[1] - br[0]) * _WIDTH_SCALE > max(br[2], abs(br[0]), abs(br[1])):
+        _bisect_once(coeffs, terms, br)
 
 
 @dataclass(frozen=True)
@@ -239,9 +231,9 @@ def pf_real_roots(seq: PFSequence | Iterable[int]) -> tuple[list[float], RootCer
         raise ValueError("need a nonzero leading coefficient")
     terms = _bound_terms(coeffs)
     refined = []
-    for a, b, den, s_lo, _ in _isolate(coeffs):
-        if a != b:
-            a, b, den = _refine(coeffs, terms, a, b, den, s_lo)
+    for br in map(list, _isolate(coeffs)):
+        _refine(coeffs, terms, br)
+        a, b, den = br[:3]
         refined.append((Fraction(a, den), Fraction(b, den)))
     cert = RootCertificate(degree=len(coeffs) - 1, brackets=tuple(refined))
     roots = [float((lo + hi) / 2) for lo, hi in refined]

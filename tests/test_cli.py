@@ -4,8 +4,10 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from coreperim.cli import DIFF_TOLERANCE, RANGE_LIMIT, main, parse_range
 from coreperim.gaussref import RATE_CSV_HEADER
@@ -349,7 +351,9 @@ def test_config_file_fills_missing_flags(tmp_path, capsys):
     conf.write_text("# defaults\nfamily=core\nstat=length\nd=3\nk=3..4\n")
     code, out, _ = run(capsys, "moments", "--config", str(conf), "--n", "5..6")
     assert code == 0
-    assert out.splitlines()[0] == "k,5,6"
+    assert [row.split(",")[0] for row in out.splitlines()] == ["k", "3", "4"]
+    flags = ["moments", "--family", "core", "--stat", "length", "--d", "3", "--n", "5..6"]
+    assert out == run(capsys, *flags, "--k", "3..4")[1]
     # explicit flags beat the config
     code, out2, _ = run(capsys, "moments", "--config", str(conf), "--n", "5..6",
                         "--k", "3..3")
@@ -359,6 +363,51 @@ def test_config_file_fills_missing_flags(tmp_path, capsys):
     bad = tmp_path / "bad.conf"
     bad.write_text("familly=core\n")
     assert run(capsys, "moments", "--config", str(bad), "--n", "5")[0] == 1
+
+
+def test_config_file_fills_sample_and_switches(tmp_path, capsys):
+    conf = tmp_path / "sample.conf"
+    conf.write_text("family=strict\nd=2\nn=7\nseed=1\ncount=3\ndecode=true\n")
+    code, out, _ = run(capsys, "sample", "--config", str(conf))
+    flags = ["sample", "--family", "strict", "--d", "2", "--n", "7", "--seed", "1"]
+    assert code == 0
+    assert out == run(capsys, *flags, "--count", "3", "--decode")[1]
+    assert len(out.splitlines()) == 3
+    assert all("partition" in json.loads(line) for line in out.splitlines())
+    # the command line beats the file, switches included
+    off = tmp_path / "off.conf"
+    off.write_text("decode=false\ncount=2\n")
+    code, out, _ = run(capsys, *flags, "--config", str(off))
+    assert code == 0 and len(out.splitlines()) == 2 and "partition" not in out
+    code, out, _ = run(capsys, *flags, "--config", str(off), "--decode", "--count", "1")
+    assert code == 0 and len(out.splitlines()) == 1 and "partition" in out
+    # built-in values fill what neither gives
+    bare = ["sample", "--family", "core", "--d", "2", "--n", "5", "--seed", "4"]
+    code, out, _ = run(capsys, *bare)
+    assert code == 0 and len(out.splitlines()) == 1 and "partition" not in out
+
+
+def test_config_file_quick_verify_and_refusals(tmp_path, capsys):
+    quick = tmp_path / "quick.conf"
+    quick.write_text("quick=true\n")
+    assert run(capsys, "verify", "--config", str(quick)) == run(capsys, "verify", "--quick")
+    sample = ["sample", "--family", "core", "--d", "2", "--n", "5", "--seed", "1"]
+    for argv, text, needle in (
+        (sample, "decode=yes\n", "true or false"),
+        (["verify"], "quick=1\n", "true or false"),
+        (sample, "command=moments\n", "unknown config key"),
+        (sample, "jobs=2\n", "unknown config key"),
+    ):
+        bad = tmp_path / "bad.conf"
+        bad.write_text(text)
+        code, out, err = run(capsys, *argv, "--config", str(bad))
+        assert (code, out) == (1, "")
+        assert len(err.splitlines()) == 1 and needle in err
+    # no seed from the command line or the file: one line, exit 1
+    seedless = tmp_path / "seedless.conf"
+    seedless.write_text("family=core\nd=2\nn=5\n")
+    code, out, err = run(capsys, "sample", "--config", str(seedless))
+    assert (code, out, err) == (1, "", "error: --seed is required\n")
 
 
 def test_verify_quick(capsys):
@@ -377,3 +426,92 @@ def test_installed_entry_point_smoke():
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("k,4,5")
+
+
+# ----------------------------------------------------------- contract fuzz
+
+GOLDEN = Path(__file__).resolve().parents[1] / "golden" / "table1.csv"
+
+
+def _mostly(good, bad):
+    # good values three times as often as bad ones
+    return st.sampled_from(good * 3 + bad)
+
+
+NS = st.one_of(
+    st.integers(2, 8).map(str),
+    st.tuples(st.integers(2, 8), st.integers(0, 3)).map(lambda t: f"{t[0]}..{min(t[0] + t[1], 8)}"),
+    st.sampled_from(["-1", "1", "8..5", "x"]),
+)
+# small values only: n <= 8, k within 3..8, count <= 5; never --jobs
+VALUES = {
+    "family": _mostly(["core", "strict", "selfconj"], ["bogus"]),
+    "stat": _mostly(["length", "size", "durfee", "power:0", "power:2"], ["power:-1", "power", "width"]),
+    "d": _mostly(["1", "2", "3"], ["0", "-1", "x"]),
+    "e": _mostly(["1", "2", "3"], ["0", "-1", "x"]),
+    "n": NS,
+    "k": _mostly(["3..8", "3..4", "5", "8"], ["x", "1..2", "8..3"]),
+    "seed": _mostly(["0", "7"], ["-3", "x"]),
+    "count": _mostly(["0", "1", "5"], ["-1", "x"]),
+    "limit": _mostly(["100000"], ["10", "x"]),
+    "decode": _mostly(["true", "false"], ["maybe"]),
+    "quick": st.sampled_from(["true", "false"]),
+    "out": st.sampled_from(["@tmp/out.txt"]),
+    "diff": _mostly([str(GOLDEN)], ["@tmp/missing.csv"]),
+}
+FLAGS = {
+    "moments": ("stat", "k", "diff", "out"),
+    "dist": ("stat", "out"),
+    "distance": ("stat", "out"),
+    "sample": ("stat", "seed", "count", "decode", "out"),
+    "verify": ("limit",),
+}
+
+
+@st.composite
+def cli_calls(draw):
+    """(argv, config text or None) over every subcommand, small sizes only."""
+    command = draw(_mostly(sorted(FLAGS), ["bogus"]))
+    argv = [command]
+    keys = list(FLAGS.get(command, ()))
+    if command == "verify":
+        argv.append("--quick")
+    elif command in FLAGS:
+        keys += ["family", "d", "e", "n"]
+        if draw(_mostly([True], [False])):
+            # a well-formed spec, each value still drawn
+            family = draw(VALUES["family"])
+            argv += ["--family", family, "--e" if family == "selfconj" else "--d",
+                     draw(VALUES["d"]), "--n", draw(VALUES["n"])]
+    config_keys = list(keys) + (["quick"] if command == "verify" else [])
+    for key in draw(st.lists(st.sampled_from(keys), unique=True)) if keys else ():
+        if key == "decode":
+            argv.append("--decode")
+        else:
+            argv += [f"--{key}", draw(VALUES[key])]
+    if draw(_mostly([False], [True])):
+        argv.append("--bogus")
+    config = None
+    if draw(st.booleans()):
+        chosen = draw(st.lists(st.sampled_from(config_keys), unique=True)) if config_keys else []
+        lines = [f"{key}={draw(VALUES[key])}" for key in chosen if key != "out"]
+        lines += draw(st.lists(st.sampled_from(["# note", "", "garbage", "unknown=1"]), max_size=2))
+        config = "\n".join(lines) + "\n"
+    return argv, config
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(cli_calls())
+def test_cli_contract_fuzz(tmp_path, capsys, call):
+    argv, config = call
+    argv = [a.replace("@tmp", str(tmp_path)) for a in argv]
+    if config is not None:
+        conf = tmp_path / "fuzz.conf"
+        conf.write_text(config)
+        argv += ["--config", str(conf)]
+    code = main(argv)
+    _, err = capsys.readouterr()
+    assert code in (0, 1, 2), (argv, config)
+    assert "Traceback" not in err
+    if code == 1:
+        assert len(err.splitlines()) == 1, (argv, config, err)

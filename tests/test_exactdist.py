@@ -283,6 +283,18 @@ def test_mixture_identity_exact():
             assert mixture_identity_check(spec, "size")
 
 
+@pytest.mark.parametrize("stat", ["length", "size"])
+def test_cap_zero_mixture_layer(stat):
+    # the zero vector is the only member, on the empty support
+    for n in range(2, 7):
+        spec = FamilySpec("strict", n, 0)
+        c = conditional_stat(spec, stat, ())
+        assert c.dist == point_mass(0)
+        assert c.mean == c.closed_mean == 0
+        assert c.variance == c.closed_variance == 0
+        assert mixture_identity_check(spec, stat) is True
+
+
 def slice_lanes(packed, width):
     """The lanes of `packed` by one little-endian slice per lane."""
     raw = packed.to_bytes(-(-packed.bit_length() // (8 * width)) * width, "little")

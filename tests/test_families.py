@@ -16,6 +16,7 @@ from coreperim.families import (
     enumerate_family,
     member,
     sample,
+    stat_name,
     statistic_value,
     strict_suffix_counts,
 )
@@ -61,6 +62,41 @@ def test_strict_suffix_counts_head_is_total():
             assert len(counts) == n + 1  # n-1 positions plus two sentinels
             assert counts[0] == count_family(FamilySpec("strict", n, d))
             assert counts[-2] == counts[-1] == 1
+
+
+@pytest.mark.parametrize(
+    "stat,name",
+    [
+        ("length", "length"),
+        (("length", None), "length"),
+        (("size", None), "size"),
+        ("durfee", "durfee"),
+        ("power:2", "power:2"),
+        (("power", 2), "power:2"),
+        (("power", 0), "power:0"),
+    ],
+)
+def test_stat_name(stat, name):
+    assert stat_name(stat) == name
+
+
+def test_stat_name_refuses_what_normalize_stat_refuses():
+    for bad in ("width", "power", ("power", None), ("power", -1)):
+        with pytest.raises(ValueError):
+            stat_name(bad)
+
+
+def test_every_report_prints_the_stat_name():
+    from coreperim.diagnostics import concentration_check
+    from coreperim.exactdist import moment_report
+    from coreperim.gaussref import rate_table
+
+    assert moment_report(FamilySpec("selfconj", 6, 2), ("power", 2), 4).stat == "power:2"
+    assert moment_report(FamilySpec("core", 5, 2), ("length", None), 4).stat == "length"
+    assert rate_table("core", ("length", None), 2, [5])[0].stat == "length"
+    assert rate_table("selfconj", ("power", 3), 1, [6])[0].stat == "power:3"
+    assert concentration_check("core", ("length", None), 5, 2, [1]).stat == "length"
+    assert concentration_check("strict", ("size", None), 6, 2, [1]).stat == "size"
 
 
 def test_member_rejects_invalid():

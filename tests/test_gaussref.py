@@ -96,6 +96,22 @@ def test_distances_reject_variance_below_float_range(distance):
         distance(tiny)
 
 
+@pytest.mark.parametrize(
+    "distance", [normal_distances, kolmogorov_to_normal, wasserstein_to_normal]
+)
+@pytest.mark.parametrize(
+    "atoms",
+    [
+        {0: 1, 2**1100: 1},  # the variance, about 2^2198, is past the float range
+        {0: 2**1100, 2**1030: 1},  # the variance fits, the centred 2^1030 does not
+    ],
+    ids=["variance", "centred-point"],
+)
+def test_distances_reject_laws_past_the_float_range(distance, atoms):
+    with pytest.raises(ValueError, match="float range"):
+        distance(DiscreteDist(atoms))
+
+
 def test_two_point_distances_by_hand():
     d = DiscreteDist({-1: 1, 1: 1})
     # standardized support is already {-1, +1}

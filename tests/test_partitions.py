@@ -1,10 +1,11 @@
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 import pytest
 
 from coreperim.partitions import (
     Partition,
     PartitionError,
     beta_set,
+    column_heights,
     conjugate,
     durfee_length,
     format_partition,
@@ -133,6 +134,18 @@ def test_is_s_core_by_hooks():
 @given(partitions())
 def test_beta_set_round_trip(p):
     assert from_beta_set(set(beta_set(p))) == p
+
+
+def quadratic_conjugate(parts):
+    """The definition: column j holds one box for each row longer than j."""
+    return tuple(sum(1 for part in parts if part > j) for j in range(parts[0] if parts else 0))
+
+
+@given(partitions(max_parts=20, max_part=30))
+@example(Partition(()))
+def test_conjugate_matches_the_quadratic_definition(p):
+    assert conjugate(p).parts == quadratic_conjugate(p.parts)
+    assert column_heights(list(p.parts)) == list(quadratic_conjugate(p.parts))
 
 
 @given(partitions())

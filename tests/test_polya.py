@@ -112,6 +112,14 @@ def test_hand_polynomials():
     assert roots == pytest.approx([-3, -2, -1], abs=1e-11)
 
 
+def test_refinement_stops_on_an_exact_root():
+    # (z - 1)(z - 2)(z - 3): bisecting the middle bracket lands on 2 exactly
+    _, cert = pf_real_roots([-6, 11, -6, 1])
+    assert cert.brackets[1] == (2, 2)
+    lo, hi = cert.brackets[0]
+    assert lo < 1 < hi
+
+
 def test_certificate_brackets_are_exact_and_tight():
     roots, cert = pf_real_roots([1, 3, 1])
     assert len(cert.brackets) == cert.degree
