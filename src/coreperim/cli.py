@@ -15,7 +15,7 @@ import os
 import sys
 from fractions import Fraction
 
-from . import codec, families, gaussref, polya
+from . import codec, families, gaussref
 from .exactdist import dist_statistic, mixture_identity_check, moment_report
 from .families import ENUMERATION_LIMIT, FamilySpec
 
@@ -263,6 +263,8 @@ def cmd_sample(args) -> int:
 # ----------------------------------------------------------------- verify
 
 def _verify_checks(quick: bool, limit: int):
+    from . import polya  # only verify reads it; other commands start without it
+
     n_code, cap_code = (5, 2) if quick else (7, 3)
     yield (
         "bijection round-trips",
@@ -353,6 +355,8 @@ def _pinned_example() -> bool:
 
 
 def _roots_ok(n: int, d: int) -> bool:
+    from . import polya
+
     roots, cert = polya.pf_real_roots(polya.u_polynomial(n, d))
     return (
         cert.all_negative
@@ -413,11 +417,13 @@ def build_parser() -> _Parser:
     add_common(p)
     p.add_argument("--seed", help="PRNG seed (documented stream v1), required")
     p.add_argument("--count", help="vectors to draw (default 1)")
-    p.add_argument("--decode", action="store_true", default=None, help="include the partition")
+    p.add_argument("--decode", action=argparse.BooleanOptionalAction, default=None,
+                   help="include the partition")
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("verify", help="run the invariant suite")
-    p.add_argument("--quick", action="store_true", default=None, help="smaller exhaustive scales")
+    p.add_argument("--quick", action=argparse.BooleanOptionalAction, default=None,
+                   help="smaller exhaustive scales")
     p.add_argument("--limit", help="enumeration size guard")
     p.add_argument("--config", help="key=value file supplying unset flags")
     p.set_defaults(func=cmd_verify)

@@ -9,7 +9,14 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from coreperim.cli import DIFF_TOLERANCE, RANGE_LIMIT, main, parse_range
+from coreperim.cli import (
+    DIFF_TOLERANCE,
+    RANGE_LIMIT,
+    _resolve_flags,
+    build_parser,
+    main,
+    parse_range,
+)
 from coreperim.gaussref import RATE_CSV_HEADER
 
 
@@ -381,6 +388,20 @@ def test_config_file_fills_sample_and_switches(tmp_path, capsys):
     assert code == 0 and len(out.splitlines()) == 2 and "partition" not in out
     code, out, _ = run(capsys, *flags, "--config", str(off), "--decode", "--count", "1")
     assert code == 0 and len(out.splitlines()) == 1 and "partition" in out
+    code, out, _ = run(capsys, "sample", "--config", str(conf), "--no-decode")
+    assert code == 0 and len(out.splitlines()) == 3 and "partition" not in out
+    on = tmp_path / "on.conf"
+    on.write_text("quick=true\n")
+    for argv, attr, value in (
+        (["verify", "--config", str(on)], "quick", True),
+        (["verify", "--config", str(on), "--no-quick"], "quick", False),
+        (["verify", "--no-quick"], "quick", False),
+        (["sample", "--config", str(conf), "--no-decode"], "decode", False),
+        (["sample", "--config", str(conf)], "decode", True),
+    ):
+        args = build_parser().parse_args(argv)
+        _resolve_flags(args)
+        assert getattr(args, attr) is value, argv
     # built-in values fill what neither gives
     bare = ["sample", "--family", "core", "--d", "2", "--n", "5", "--seed", "4"]
     code, out, _ = run(capsys, *bare)
@@ -486,7 +507,7 @@ def cli_calls(draw):
     config_keys = list(keys) + (["quick"] if command == "verify" else [])
     for key in draw(st.lists(st.sampled_from(keys), unique=True)) if keys else ():
         if key == "decode":
-            argv.append("--decode")
+            argv.append(draw(st.sampled_from(["--decode", "--no-decode"])))
         else:
             argv += [f"--{key}", draw(VALUES[key])]
     if draw(_mostly([False], [True])):

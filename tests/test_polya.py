@@ -12,7 +12,11 @@ from coreperim.polya import (
     PFSequence,
     RealRootednessError,
     RootCertificate,
-    _bound_terms,
+    _FILTER_BITS,
+    _Plan,
+    _exact_sign,
+    _fixed_sign,
+    _float_sign,
     _sign,
     bernoulli_decomposition,
     pf_real_roots,
@@ -118,6 +122,12 @@ def test_refinement_stops_on_an_exact_root():
     assert cert.brackets[1] == (2, 2)
     lo, hi = cert.brackets[0]
     assert lo < 1 < hi
+    # z^3 - 3z + 1: bisecting the critical bracket [-2, 0] lands on the
+    # critical point -1, so p's cached end signs must be taken again there
+    roots, cert = pf_real_roots([1, -3, 0, 1])
+    assert roots == pytest.approx(sorted(2 * math.cos(2 * math.pi * k / 9) for k in (1, 2, 4)))
+    for lo, hi in cert.brackets:
+        assert horner((1, -3, 0, 1), lo) * horner((1, -3, 0, 1), hi) < 0
 
 
 def test_certificate_brackets_are_exact_and_tight():
@@ -153,31 +163,113 @@ def test_certificate_brackets_are_pinned():
     assert roots == [-2.6180339887499002, -0.3819660112500962]
 
 
-small_polys = st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=7)
-rationals = st.tuples(st.integers(-10**4, 10**4), st.integers(1, 10**4))
+# coefficients past 2^53 as well, where the float tier must step aside
+polys = st.lists(
+    st.one_of(st.integers(-10**6, 10**6), st.integers(-2**70, 2**70)), min_size=1, max_size=7
+)
+rationals = st.one_of(
+    st.tuples(st.integers(-10**4, 10**4), st.integers(1, 10**4)),
+    # denominators of 2^800 and more
+    st.tuples(st.integers(-2**830, 2**830), st.integers(2**800, 2**820)),
+    # |num/den| past the float range
+    st.tuples(st.integers(10**400, 10**420) | st.integers(-10**420, -10**400), st.integers(1, 10**6)),
+    # 0 < |num/den| < 2^-1000
+    st.tuples(st.integers(-2**20, 2**20).filter(bool), st.integers(2**1030, 2**1040)),
+)
 
 
-@given(small_polys, rationals, st.integers(1, 50))
+def tier_signs(coeffs, num, den):
+    """Each tier's answer at num/den: float, fixed at P = 160, fixed at the wide P, exact."""
+    plan = _Plan(coeffs)
+    fixed, error = plan.bounds(abs(num) // den + 2)
+    wide = den.bit_length() + fixed.bit_length()
+    return (
+        _float_sign(plan, num, den, error),
+        _fixed_sign(plan, num, den, _FILTER_BITS, fixed),
+        _fixed_sign(plan, num, den, wide, fixed),
+        _exact_sign(coeffs, num, den),
+    )
+
+
+def check_oracle(coeffs, num, den):
+    """Every tier is undecided or right, and `_sign` is the Fraction Horner sign."""
+    expect = exact_sign(coeffs, Fraction(num, den))
+    *filters, exact = tier_signs(coeffs, num, den)
+    assert all(s in (None, expect) for s in filters)
+    assert exact == expect
+    assert _sign(_Plan(coeffs), num, den) == expect
+    return expect
+
+
+@given(polys, rationals, st.integers(1, 50))
 def test_sign_filter_matches_exact_horner(coeffs, point, scale):
     num, den = point
-    terms = _bound_terms(coeffs)
-    expect = exact_sign(coeffs, Fraction(num, den))
-    assert _sign(coeffs, num, den, terms) == expect
+    expect = check_oracle(coeffs, num, den)
     # an unreduced fraction names the same point
-    assert _sign(coeffs, scale * num, scale * den, terms) == expect
+    assert check_oracle(coeffs, scale * num, scale * den) == expect
 
 
-@given(small_polys.filter(any), rationals, st.integers(-3, 3), st.integers(0, 2**64))
+@given(polys.filter(any), rationals, st.integers(-3, 3), st.integers(0, 2**64))
 def test_sign_filter_at_and_near_rational_roots(cofactor, root, side, salt):
     num, den = root
     coeffs = times_linear(cofactor, num, den)
-    terms = _bound_terms(coeffs)
-    assert _sign(coeffs, num, den, terms) == 0
-    # within 2^-200 of the root, and near it with a large odd denominator
+    assert tier_signs(coeffs, num, den) == (None, None, None, 0)
+    assert _sign(_Plan(coeffs), num, den) == 0
+    # within 2^-200 of the root, and near it with large odd denominators
     tiny = 2**200
-    big = 2**300 + 2 * salt + 1
-    for pn, pd in ((num * tiny + side * den, den * tiny), (num * big + side * den, den * big)):
-        assert _sign(coeffs, pn, pd, terms) == exact_sign(coeffs, Fraction(pn, pd))
+    for big in (tiny, 2**300 + 2 * salt + 1, 2**800 + 2 * salt + 1):
+        check_oracle(coeffs, num * big + side * den, den * big)
+
+
+def test_each_tier_decides_its_own_case():
+    # (3z - 1)(z + 2): doubles settle z = 1, and nothing settles the root but integers
+    coeffs = [-2, 5, 3]
+    assert tier_signs(coeffs, 1, 1) == (1, 1, 1, 1)
+    assert tier_signs(coeffs, 1, 3) == (None, None, None, 0)
+    # 2^-300 from the root: past P = 160, within P = bits(den) + bits(B)
+    assert tier_signs(coeffs, 2**300 + 3, 3 * 2**300) == (None, None, 1, 1)
+    # a coefficient past 2^53 keeps the doubles out, and P = 160 decides
+    assert tier_signs([2**60, 1], -1, 3) == (None, 1, 1, 1)
+    # the float tier steps aside past the float range and below 2^-1000
+    assert tier_signs([1, 3, 1], 10**400, 1)[0] is None
+    assert tier_signs([1, 3, 1], 1, 2**1100)[0] is None
+    assert tier_signs([1, 3, 1], 1, 2**900) == (1, 1, 1, 1)
+
+
+def separators(n, d):
+    """n // 2 + 1 rationals interleaving the closed-form roots, -1/(4d) last."""
+    roots = closed_roots(n, d)
+    inner = [Fraction((lo + hi) / 2) for lo, hi in zip(roots, roots[1:])]
+    return [Fraction(2 * roots[0])] + inner + [Fraction(-1, 4 * d)]
+
+
+def separator_signs(n, d):
+    """Exact signs of the match-count polynomial at `separators(n, d)`.
+
+    n // 2 sign changes at n // 2 + 1 points prove all n // 2 roots real and
+    simple, one in each gap, and every root below -1/(4d).
+    """
+    plan = _Plan(u_weights(n, d))
+    return [_sign(plan, q.numerator, q.denominator) for q in separators(n, d)]
+
+
+@pytest.mark.parametrize("n", [60, 100, 200])
+@pytest.mark.parametrize("d", [1, 3])
+def test_separator_certificate(n, d):
+    signs = separator_signs(n, d)
+    assert len(signs) == n // 2 + 1
+    assert all(s != 0 and s == -t for s, t in zip(signs, signs[1:]))
+
+
+def test_brackets_lie_in_separator_gaps():
+    for n, d in product(range(2, 41), (1, 3)):
+        signs = separator_signs(n, d)
+        assert all(s != 0 and s == -t for s, t in zip(signs, signs[1:]))
+        pts = separators(n, d)
+        _, cert = pf_real_roots(u_polynomial(n, d))
+        assert len(cert.brackets) == len(pts) - 1
+        for (lo, hi), left, right in zip(cert.brackets, pts, pts[1:]):
+            assert left < lo <= hi < right
 
 
 def test_u_weights_and_polynomial():
