@@ -12,7 +12,7 @@ from .codec import (
     encode_core,
     encode_selfconj,
 )
-from .distributions import DiscreteDist, convolve, point_mass, uniform_range
+from .distributions import DiscreteDist, convolve
 from .exactdist import MomentReport, dist_statistic, moments
 from .families import FamilySpec, count_family, enumerate_family, sample
 from .partitions import Partition, PartitionError, from_parts, parse_partition
@@ -40,9 +40,7 @@ __all__ = [
     "from_parts",
     "moments",
     "parse_partition",
-    "point_mass",
     "sample",
-    "uniform_range",
 ]
 
 __version__ = "0.1.0"

@@ -13,7 +13,7 @@ from math import comb
 from typing import Iterable, Sequence
 
 from .distributions import DiscreteDist
-from .exactdist import decode_lanes, dist_statistic, size_coefficients
+from .exactdist import decode_lanes, dist_statistic, size_coefficients, size_components
 from .families import FamilySpec, normalize_stat, stat_name
 
 
@@ -58,13 +58,7 @@ def check_size_conditions(n: int, d: int) -> ConditionReport:
     if n < 3 or d < 2:
         raise ValueError("need n >= 3, d >= 2")
     q, bs, a = size_coefficients(n, d)
-
-    # moments of y uniform on 1..d
-    m1 = Fraction(d + 1, 2)
-    m2 = Fraction((d + 1) * (2 * d + 1), 6)
-    m3 = Fraction(d * (d + 1) ** 2, 4)
-    m4 = Fraction((d + 1) * (2 * d + 1) * (3 * d * d + 3 * d - 1), 30)
-    var_x = m2 - m1 * m1
+    var_x, parts = size_components(n, d)
 
     def g(b, y):
         return q * y * y + b * y
@@ -73,18 +67,12 @@ def check_size_conditions(n: int, d: int) -> ConditionReport:
     arithmetic = all(bs[i + 1] - bs[i] == 1 for i in range(len(bs) - 1))
     zero_at_origin = all(g(b, 0) == 0 for b in bs)
 
-    variances = []
-    covariances = []
-    sup_gsq = Fraction(0)
-    for b in bs:
-        variances.append(q * q * (m4 - m2 * m2) + b * b * var_x + 2 * q * b * (m3 - m2 * m1))
-        covariances.append(q * (m3 - m1 * m2) + b * var_x)
-        sup_gsq = max(sup_gsq, max(g(b, y) ** 2 for y in range(1, d + 1)))
-    inf_var = min(variances)
+    sup_gsq = max(g(b, y) ** 2 for b in bs for y in range(1, d + 1))
+    inf_var = min(v for _, v, _ in parts)
     degenerate = inf_var == 0
     nondeg = None
     if not degenerate:
-        nondeg = max(c * c / (var_x * v) for c, v in zip(covariances, variances))
+        nondeg = max(c * c / (var_x * v) for _, v, c in parts)
     return ConditionReport(
         n=n,
         d=d,

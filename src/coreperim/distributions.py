@@ -48,9 +48,6 @@ class DiscreteDist:
     def support(self):
         return list(self._atoms)
 
-    def weight(self, value: int) -> int:
-        return self._atoms.get(value, 0)
-
     def probability(self, value: int) -> Fraction:
         return Fraction(self._atoms.get(value, 0), self.total)
 
@@ -74,9 +71,6 @@ class DiscreteDist:
     def mean(self) -> Fraction:
         return Fraction(sum(v * w for v, w in self._atoms.items()), self.total)
 
-    def moment(self, k: int) -> Fraction:
-        return Fraction(sum(v**k * w for v, w in self._atoms.items()), self.total)
-
     def central_moment(self, k: int) -> Fraction:
         return self.central_moments(k)[k]
 
@@ -97,12 +91,6 @@ class DiscreteDist:
     def variance(self) -> Fraction:
         return self.central_moment(2)
 
-    def affine(self, a: int, b: int) -> "DiscreteDist":
-        """Distribution of a*X + b."""
-        if a == 0:
-            return DiscreteDist({b: self.total})
-        return DiscreteDist({a * v + b: w for v, w in self._atoms.items()})
-
     def cdf_steps(self):
         """(value, F(value-), F(value)) with exact rational levels."""
         acc = 0
@@ -112,15 +100,6 @@ class DiscreteDist:
             acc += w
             steps.append((v, before, Fraction(acc, self.total)))
         return steps
-
-
-def point_mass(value: int) -> DiscreteDist:
-    return DiscreteDist({value: 1})
-
-
-def uniform_range(lo: int, hi: int) -> DiscreteDist:
-    """Uniform on the integers lo..hi inclusive."""
-    return DiscreteDist({v: 1 for v in range(lo, hi + 1)})
 
 
 def convolve(a: DiscreteDist, b: DiscreteDist) -> DiscreteDist:

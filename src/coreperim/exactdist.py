@@ -462,35 +462,46 @@ def size_coefficients(n: int, d: int) -> tuple[Fraction, list[Fraction], int]:
     return q, [i - q - (n - 2) * c for i in range(1, n)], -1
 
 
+def size_components(n: int, d: int) -> tuple[Fraction, list[tuple[Fraction, Fraction, Fraction]]]:
+    """(Var y, [(E g_i, Var g_i, Cov(g_i, y)) for i in 1..n-1]), y uniform on 1..d, d >= 1.
+
+    g_i(y) = q y^2 + b_i y from `size_coefficients`.  With m_k = E y^k,
+    E g_i = q m2 + b_i m1, Var g_i = q^2 (m4 - m2^2) + 2 q b_i (m3 - m1 m2)
+    + b_i^2 Var y and Cov(g_i, y) = q (m3 - m1 m2) + b_i Var y.
+    """
+    q, bs, _ = size_coefficients(n, d)
+    m1 = Fraction(d + 1, 2)
+    m2 = Fraction((d + 1) * (2 * d + 1), 6)
+    m3 = Fraction(d * (d + 1) ** 2, 4)
+    m4 = Fraction((d + 1) * (2 * d + 1) * (3 * d * d + 3 * d - 1), 30)
+    var_y = m2 - m1 * m1
+    cov_sq = m3 - m1 * m2  # Cov(y^2, y)
+    return var_y, [
+        (
+            q * m2 + b * m1,
+            q * q * (m4 - m2 * m2) + 2 * q * b * cov_sq + b * b * var_y,
+            q * cov_sq + b * var_y,
+        )
+        for b in bs
+    ]
+
+
 def _closed_forms_size(n: int, d: int, t: tuple[int, ...]) -> tuple[Fraction, Fraction]:
     """Mixture-component mean and variance of the size statistic.
 
     Centered coordinates: X uniform on {-(d-1)/2, ..., (d-1)/2} and
-    y = x + (d+1)/2, with g_i and a from `size_coefficients`.
+    y = x + (d+1)/2, with g_i and a from `size_coefficients` and the moments
+    of g_i from `size_components`.
     """
     if not t:
         return Fraction(0), Fraction(0)  # the zero vector alone, size 0 at any cap
-    q, b, a = size_coefficients(n, d)
+    a = size_coefficients(n, d)[2]
+    var_x, parts = size_components(n, d)  # centering does not change the variance
     c = Fraction(d + 1, 2)
     size = len(t)
-    ys = [Fraction(y) for y in range(1, d + 1)]
-    e_y = sum(ys) / d
-    e_y2 = sum(y * y for y in ys) / d
-    var_x = e_y2 - e_y * e_y  # centering does not change the variance
+    sum_mean, sum_var_g, sum_cov = map(sum, zip(*(parts[i - 1] for i in t)))
 
-    mean = Fraction(0)
-    sum_var_g = Fraction(0)
-    sum_cov = Fraction(0)
-    for i in t:
-        b_i = b[i - 1]
-        e_g = q * e_y2 + b_i * e_y
-        e_g2 = sum((q * y * y + b_i * y) ** 2 for y in ys) / d
-        cov = sum((q * y * y + b_i * y) * (y - e_y) for y in ys) / d
-        mean += e_g
-        sum_var_g += e_g2 - e_g * e_g
-        sum_cov += cov
-
-    mean += a * comb(n - 1 - size, 2) * c * c - a * comb(n - 1, 2) * c * c
+    mean = sum_mean + a * comb(n - 1 - size, 2) * c * c - a * comb(n - 1, 2) * c * c
     var = (
         sum_var_g
         - a * (n - 1 - size) * (d + 1) * sum_cov

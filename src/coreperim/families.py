@@ -9,11 +9,12 @@ reproducible from (spec, seed, count); see rng.py for the stream contract.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Iterator
 
 from . import codec
 from .distributions import DiscreteDist
-from .rng import SplitMix64
+from .rng import SplitMix64, plan
 
 FAMILIES = ("core", "strict", "selfconj")
 
@@ -119,26 +120,29 @@ def sample(spec: FamilySpec, seed: int, count: int) -> list[tuple[int, ...]]:
 
     The output is a pure function of (spec, seed, count): coordinates are
     consumed left to right, one bounded draw per decision, from a single
-    SplitMix64 stream seeded with `seed`.
+    SplitMix64 stream seeded with `seed`.  The draw plans depend on the spec
+    alone, so they are built once for all `count` vectors.
     """
     if count < 0:
         raise ValueError("count must be non-negative")
-    gen = SplitMix64(seed)
+    take = SplitMix64(seed).take
     if spec.family == "core":
-        width, bound = spec.width, spec.cap + 1
-        return [tuple(gen.draws(bound, width)) for _ in range(count)]
+        cell = plan(spec.cap + 1)
+        return [tuple(map(take, repeat(cell, spec.width))) for _ in range(count)]
     if spec.family == "strict":
         f = strict_suffix_counts(spec.n, spec.cap)
-        return [_sample_strict(spec, gen, f) for _ in range(count)]
-    return [_sample_selfconj(spec, gen) for _ in range(count)]
+        plans = [plan(bound) for bound in f[: spec.width]]
+        return [_sample_strict(take, f, plans) for _ in range(count)]
+    pair = plan(2 * spec.cap + 1)
+    return [_sample_selfconj(spec, take, pair) for _ in range(count)]
 
 
-def _sample_strict(spec: FamilySpec, gen: SplitMix64, f: list[int]) -> tuple[int, ...]:
-    width, below = spec.width, gen.below
+def _sample_strict(take, f: list[int], plans: list) -> tuple[int, ...]:
+    width = len(plans)
     x = [0] * width
     i = 0
     while i < width:
-        u = below(f[i])
+        u = take(plans[i])
         if u < f[i + 1]:
             i += 1  # weight f[i+1] for placing 0
         else:
@@ -147,12 +151,12 @@ def _sample_strict(spec: FamilySpec, gen: SplitMix64, f: list[int]) -> tuple[int
     return tuple(x)
 
 
-def _sample_selfconj(spec: FamilySpec, gen: SplitMix64) -> tuple[int, ...]:
+def _sample_selfconj(spec: FamilySpec, take, pair) -> tuple[int, ...]:
     n, e = spec.n, spec.cap
     x = [0] * n
     # pair (i+1, n-i) in 1-based terms: outcome t=0 is (0,0),
     # 1..e puts t on the left, e+1..2e puts t-e on the right
-    for i, t in enumerate(gen.draws(2 * e + 1, n // 2)):
+    for i, t in enumerate(map(take, repeat(pair, n // 2))):
         if t > e:
             x[n - 1 - i] = t - e
         elif t:

@@ -15,12 +15,13 @@ ceil(k/64) words (first word is least significant), mask to the low k
 bits, reject and redraw while the value is >= bound.  A bound of 1
 consumes nothing.
 
-`draws(bound, count)` is part of the same contract: it returns exactly
-`[below(bound) for _ in range(count)]` and leaves the generator in the same
-state, so a caller may batch its draws without changing the stream.  Every
-word comes from one `next64` call: the number of words drawn is both the
-number of those calls and the state's advance times the inverse of the
-increment mod 2^64.
+The rule is written once.  `plan(bound)` works out (bound, mask, word
+shifts) for a bound, and `SplitMix64.take(plan)` runs the rejection loop;
+`below(bound)` is `take(plan(bound))`, so a caller that draws under the
+same bound many times builds its plan once and changes nothing in the
+stream.  Every word comes from one `next64` call: the number of words drawn
+is both the number of those calls and the state's advance times the
+inverse of the increment mod 2^64.
 """
 from __future__ import annotations
 
@@ -41,48 +42,32 @@ class SplitMix64:
         z = ((z ^ (z >> 27)) * _MUL2) & _MASK
         return z ^ (z >> 31)
 
-    def below(self, bound: int) -> int:
-        """Exactly uniform integer in [0, bound); bound may exceed 2^64."""
-        if bound <= 0:
-            raise ValueError("bound must be positive")
+    def take(self, plan: tuple[int, int, tuple[int, ...]]) -> int:
+        """Exactly uniform integer in [0, bound) under a plan from `plan(bound)`."""
+        bound, mask, shifts = plan
         if bound == 1:
             return 0
-        k = (bound - 1).bit_length()
-        words = (k + 63) // 64
-        mask = (1 << k) - 1
+        nxt = self.next64
         while True:
-            r = 0
-            for j in range(words):
-                r |= self.next64() << (64 * j)
+            r = nxt()
+            for shift in shifts:
+                r |= nxt() << shift
             r &= mask
             if r < bound:
                 return r
 
-    def draws(self, bound: int, count: int) -> list[int]:
-        """`count` draws of below(bound): the same values, the same words consumed.
+    def below(self, bound: int) -> int:
+        """Exactly uniform integer in [0, bound); bound may exceed 2^64."""
+        return self.take(plan(bound))
 
-        The mask and word shifts are worked out once for the batch; every
-        word still comes from next64.
-        """
-        if bound <= 0:
-            raise ValueError("bound must be positive")
-        if count < 0:
-            raise ValueError("count must be non-negative")
-        if bound == 1:
-            return [0] * count
-        k = (bound - 1).bit_length()
-        mask = (1 << k) - 1
-        shifts = range(64, k, 64)  # the second and later words of a wide draw
-        nxt = self.next64
-        out = []
-        append = out.append
-        for _ in range(count):
-            while True:
-                r = nxt()
-                for shift in shifts:
-                    r |= nxt() << shift
-                r &= mask
-                if r < bound:
-                    append(r)
-                    break
-        return out
+
+def plan(bound: int) -> tuple[int, int, tuple[int, ...]]:
+    """(bound, mask, word shifts) for draws below `bound`.
+
+    The mask keeps the low k = bit_length(bound - 1) bits; the shifts place
+    the second and later words of a draw wider than 64 bits.
+    """
+    if bound <= 0:
+        raise ValueError("bound must be positive")
+    k = (bound - 1).bit_length()
+    return bound, (1 << k) - 1, tuple(range(64, k, 64))

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from fractions import Fraction
@@ -15,6 +16,19 @@ from coreperim.diagnostics import (
 from coreperim.distributions import DiscreteDist
 from coreperim.exactdist import dist_statistic
 from coreperim.families import FamilySpec
+
+
+# sha256 of the reprs of check_size_conditions(n, d), n 3..29 and d 2..6,
+# generated while the report worked out the moments of g_i on its own
+CONDITION_REPORTS_SHA256 = "64c1bf0714a89f3caf5636b0cf57001a3d764c11b7475b3a4a543799e2e4dbe9"
+
+
+def test_condition_reports_are_pinned():
+    digest = hashlib.sha256()
+    for n in range(3, 30):
+        for d in range(2, 7):
+            digest.update(repr(check_size_conditions(n, d)).encode())
+    assert digest.hexdigest() == CONDITION_REPORTS_SHA256
 
 
 def test_condition_report_by_hand_n5_d3():
@@ -135,8 +149,8 @@ def test_subset_sums_symmetry_and_moments():
         assert dist.mean() == Fraction(k * (m + 1), 2)
         assert dist.variance() == Fraction(k * (m - k) * (m + 1), 12)
         center = k * (m + 1)
-        for v, w in dist.items():
-            assert dist.weight(center - v) == w  # reflection symmetry
+        atoms = dist.atoms
+        assert all(atoms[center - v] == w for v, w in atoms.items())  # reflection symmetry
         assert dist.central_moment(3) == 0
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 from fractions import Fraction
 from itertools import product
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from coreperim import exactdist
-from coreperim.distributions import DiscreteDist, point_mass
+from coreperim.distributions import DiscreteDist
 from coreperim.exactdist import (
     ConditionalStat,
     MomentReport,
@@ -161,7 +162,7 @@ def test_moment_report_fields():
 
 
 def test_moment_report_degenerate():
-    rep = moments(point_mass(7), 4)
+    rep = moments(DiscreteDist({7: 1}), 4)
     assert rep.degenerate
     assert rep.mean == 7 and rep.variance == 0
     assert rep.standardized == {}
@@ -257,7 +258,7 @@ def test_conditional_length_small():
     assert c.mean == c.closed_mean == 3
     assert c.variance == c.closed_variance == Fraction(1, 2)
     empty = conditional_stat(spec, "size", ())
-    assert empty.dist == point_mass(0)
+    assert empty.dist == DiscreteDist({0: 1})
     assert empty.variance == 0
 
 
@@ -275,6 +276,24 @@ def test_conditional_size_matches_enumeration():
         assert c.variance == c.closed_variance
 
 
+# sha256 of the reprs of (n, d, support, mean, variance, closed mean, closed
+# variance) of the conditional size statistic over every legal support,
+# n 2..11 and d 1..4, generated while the closed forms summed the moments of
+# g_i over 1..d on their own
+CONDITIONAL_SIZE_SHA256 = "987e70124e23ea19c268ba027f1382fdb91a890f66b227cdc0f29404f96d0117"
+
+
+def test_conditional_size_closed_forms_are_pinned():
+    digest = hashlib.sha256()
+    for n in range(2, 12):
+        for d in range(1, 5):
+            for t in legal_supports(n):
+                c = conditional_stat(FamilySpec("strict", n, d), "size", t)
+                row = (n, d, t, c.mean, c.variance, c.closed_mean, c.closed_variance)
+                digest.update(repr(row).encode())
+    assert digest.hexdigest() == CONDITIONAL_SIZE_SHA256
+
+
 def test_mixture_identity_exact():
     for n in range(2, 7):
         for d in (1, 2, 3):
@@ -289,7 +308,7 @@ def test_cap_zero_mixture_layer(stat):
     for n in range(2, 7):
         spec = FamilySpec("strict", n, 0)
         c = conditional_stat(spec, stat, ())
-        assert c.dist == point_mass(0)
+        assert c.dist == DiscreteDist({0: 1})
         assert c.mean == c.closed_mean == 0
         assert c.variance == c.closed_variance == 0
         assert mixture_identity_check(spec, stat) is True

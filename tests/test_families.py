@@ -3,7 +3,6 @@ import json
 from math import comb
 
 import pytest
-from hypothesis import given, strategies as st
 from scipy.stats import chi2
 
 from coreperim import codec, families
@@ -20,7 +19,7 @@ from coreperim.families import (
     statistic_value,
     strict_suffix_counts,
 )
-from coreperim.rng import SplitMix64
+from coreperim.rng import SplitMix64, plan
 
 
 def closed_count(spec):
@@ -158,6 +157,50 @@ def test_splitmix_reference_stream():
         a.below(0)
 
 
+GAMMA_INV = pow(0x9E3779B97F4A7C15, -1, 2**64)
+
+
+def words_drawn(gen, seed):
+    """Words a generator has drawn since `seed`, read off its state's advance."""
+    return ((gen._state - seed) * GAMMA_INV) % 2**64
+
+
+# v1 bounded draws from seed 7: the first four values of below(bound) and the
+# words they consumed, generated with the per-call `below` of the v1 code.
+# One word, rejection near 2^63 and 2^64, two words past 2^64, three past 2^128.
+BELOW_V1 = {
+    1: ([0, 0, 0, 0], 0),
+    2: ([1, 0, 0, 1], 4),
+    3: ([0, 2, 2, 1], 6),
+    5: ([4, 2, 3, 2], 5),
+    2**63 + 1: (
+        [7191089600892374487, 309689372594955804, 8346079845500723674, 4601199455465548305], 6),
+    2**64 - 1: (
+        [7191089600892374487, 309689372594955804, 16616101746815609346, 10753165928301472203], 4),
+    2**64: (
+        [7191089600892374487, 309689372594955804, 16616101746815609346, 10753165928301472203], 4),
+    2**64 + 1: (
+        [7191089600892374487, 8632209307422871798, 1910343844960271083, 16934472341843718990], 14),
+    2**128 + 1: (
+        [5712760598606830209107816297069153751, 35239624000768399090731868486161224553,
+         296498833624245209956793284860221698894, 326783027902070398281045362337783598640],
+        27,
+    ),
+}
+
+
+@pytest.mark.parametrize("bound", list(BELOW_V1))
+def test_below_v1_draws_are_pinned(bound):
+    values, words = BELOW_V1[bound]
+    gen = SplitMix64(7)
+    assert [gen.below(bound) for _ in range(4)] == values
+    assert words_drawn(gen, 7) == words
+    # one plan taken four times is the same stream
+    again, cell = SplitMix64(7), plan(bound)
+    assert [again.take(cell) for _ in range(4)] == values
+    assert again._state == gen._state
+
+
 def test_splitmix_below_is_uniformish_and_in_range():
     s = SplitMix64(123)
     draws = [s.below(6) for _ in range(6000)]
@@ -242,24 +285,32 @@ def test_sampler_v1_edge_streams_are_pinned(key):
     assert hashlib.sha256(stream).hexdigest() == digest
 
 
-@given(
-    seed=st.integers(0, 2**64 - 1),
-    # small, around the one-word limit 2^64, and anywhere up to 2^130
-    bound=st.one_of(st.integers(1, 64), st.integers(2**63, 2**65), st.integers(1, 2**130)),
-    count=st.integers(0, 40),
-)
-def test_splitmix_draws_equal_repeated_below(seed, bound, count):
-    batched, single = SplitMix64(seed), SplitMix64(seed)
-    assert batched.draws(bound, count) == [single.below(bound) for _ in range(count)]
-    assert batched._state == single._state
+# v1 strict streams at the ends of the per-position plans, seed 7, generated
+# with the per-call `below` of the v1 code: n=400 d=2 has suffix counts of up
+# to 400 bits (seven-word draws), and d=0 a bound of 1 at every position, so
+# no word is drawn.  The vector count, the sha256 of json.dumps of the vectors,
+# and the words consumed.
+V1_PLAN_STREAMS = {
+    ("strict", 400, 2): (100, "23d855bb20ada54f7e355ea230f455297b3085ddf69c9a3635ded7ec5b4f75c4", 146250),
+    ("strict", 30, 0): (20, "2740310b450d28cbba4064a5a6632335e89f5d5a16aefa52ea29089b48eec7b7", 0),
+}
 
 
-def test_splitmix_draws_rejects_bad_arguments():
-    for count in (0, 3):
-        with pytest.raises(ValueError):
-            SplitMix64(1).draws(0, count)
-    with pytest.raises(ValueError):
-        SplitMix64(1).draws(5, -1)
+@pytest.mark.parametrize("key", list(V1_PLAN_STREAMS), ids=lambda k: "-".join(map(str, k)))
+def test_sampler_v1_plan_streams_are_pinned(monkeypatch, key):
+    count, digest, words = V1_PLAN_STREAMS[key]
+    made = []
+
+    class Kept(SplitMix64):
+        def __init__(self, seed):
+            super().__init__(seed)
+            made.append(self)
+
+    monkeypatch.setattr(families, "SplitMix64", Kept)
+    stream = json.dumps(sample(FamilySpec(*key), seed=7, count=count)).encode()
+    assert hashlib.sha256(stream).hexdigest() == digest
+    (gen,) = made
+    assert words_drawn(gen, 7) == words
 
 
 @pytest.mark.parametrize("key", list(V1_EDGE_STREAMS), ids=lambda k: "-".join(map(str, k)))
