@@ -158,10 +158,6 @@ def diagonal_hooks(v: DiagVector) -> tuple[int, ...]:
     return tuple(sorted(hooks, reverse=True))
 
 
-def stat_durfee(v: DiagVector) -> int:
-    return sum(v.x)
-
-
 def stat_power_sum(v: DiagVector, k: int) -> int:
     """Sum of k-th powers of the diagonal hooks; k=0 counts them, k=1 is the size."""
     if k < 0:

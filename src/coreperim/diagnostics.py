@@ -14,7 +14,7 @@ from typing import Iterable, Sequence
 
 from .distributions import DiscreteDist
 from .exactdist import decode_lanes, dist_statistic, size_coefficients, size_components
-from .families import FamilySpec, normalize_stat, stat_name
+from .families import FamilySpec, resolve_stat, stat_name
 
 
 def _to_json(value):
@@ -126,10 +126,10 @@ class TailReport:
 
 
 def _tail_scale(family: str, stat, n: int, cap: int) -> int:
-    kind, _ = normalize_stat(stat)
-    if kind in ("length", "durfee"):
+    form = resolve_stat(family, stat)
+    if form in (("length", None), ("power", 0)):
         return n * cap * cap
-    if kind == "size":
+    if form in (("size", None), ("power", 1)):
         return n**3 * cap**4
     raise ValueError(f"no tail scale for stat {stat!r}")
 

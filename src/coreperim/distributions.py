@@ -42,8 +42,8 @@ class DiscreteDist:
         return dict(self._atoms)
 
     def items(self):
-        """(value, weight) pairs in increasing value order."""
-        return list(self._atoms.items())
+        """(value, weight) pairs in increasing value order: a read-only view, not a copy."""
+        return self._atoms.items()
 
     def support(self):
         return list(self._atoms)

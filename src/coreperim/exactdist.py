@@ -53,7 +53,7 @@ from .distributions import (  # convolve: re-exported for callers of this module
     convolve,
     round_half_away,
 )
-from .families import FamilySpec, enumerate_family, normalize_stat, stat_name
+from .families import FamilySpec, enumerate_family, normalize_stat, resolve_stat, stat_name
 
 __all__ = [
     "DiscreteDist",
@@ -92,13 +92,12 @@ def _automaton(spec: FamilySpec, stat):
     its contribution, a tuple with one entry per lane.  State 0 starts and
     every state accepts.
     """
-    kind, k = normalize_stat(stat)
+    kind, k = resolve_stat(spec.family, stat)
     n, cap = spec.n, spec.cap
-    if spec.family == "selfconj":
-        k = {"length": 0, "durfee": 0, "size": 1}.get(kind, k)
+    if kind == "power":
         pairs = range(1, n // 2 + 1)
         return 1, ([(0, 0, [(v,) for v in _pair_values(n, cap, k, i)])] for i in pairs), 1
-    if kind not in ("length", "size"):
+    if kind == "durfee":
         raise ValueError(f"statistic {stat!r} has no engine for family {spec.family!r}")
     contribution, lanes = _contribution(n, kind)
     if spec.family == "core":
@@ -260,30 +259,30 @@ class MomentReport:
         return self.variance == 0
 
 
-def moments(dist: DiscreteDist, k_max: int, digits: int = 3, **meta) -> MomentReport:
+def moments(dist: DiscreteDist, k_max: int, **meta) -> MomentReport:
     """Central moments in exact rationals; m_k rounded half-away-from-zero.
 
     The rounding is exact as well: m_k^2 is rational, so the 3-decimal
     string is decided by integer square-root comparisons, never by a float.
     """
-    return _report(dist.power_sums(max(k_max, 2)), k_max, digits, meta)
+    return _report(dist.power_sums(max(k_max, 2)), k_max, meta)
 
 
-def moment_report(spec: FamilySpec, stat, k_max: int, digits: int = 3) -> MomentReport:
+def moment_report(spec: FamilySpec, stat, k_max: int) -> MomentReport:
     """`moments(dist_statistic(spec, stat), k_max)` without building the pmf."""
     raw = power_sums(spec, stat, max(k_max, 2))
     meta = {"family": spec.family, "stat": stat_name(stat), "n": spec.n, "cap": spec.cap}
-    return _report(raw, k_max, digits, meta)
+    return _report(raw, k_max, meta)
 
 
-def _report(raw: list[int], k_max: int, digits: int, meta: dict) -> MomentReport:
+def _report(raw: list[int], k_max: int, meta: dict) -> MomentReport:
     central = central_moments_from_sums(raw)
     variance = central[2]
     standardized: dict[int, str] = {}
     if variance != 0:
         for k in range(1, k_max + 1):
             sign, square = _std_sq(central, k)
-            standardized[k] = round_half_away(sign, square, digits)
+            standardized[k] = round_half_away(sign, square)
     return MomentReport(
         mean=Fraction(raw[1], raw[0]),
         variance=variance,

@@ -172,23 +172,32 @@ def as_vector(spec: FamilySpec, x: tuple[int, ...]):
 
 def statistic_value(spec: FamilySpec, stat, x: tuple[int, ...]) -> int:
     """Evaluate a statistic id ("length", "size", "durfee", ("power", k)) on a tuple."""
-    kind, k = normalize_stat(stat)
+    kind, k = resolve_stat(spec.family, stat)
     v = as_vector(spec, x)
-    if spec.family == "selfconj":
-        if kind == "length" or kind == "durfee":
-            return codec.stat_durfee(v)
-        if kind == "size":
-            return codec.stat_power_sum(v, 1)
+    if kind == "power":
         return codec.stat_power_sum(v, k)
     if kind == "length":
         return codec.stat_length(v)
     if kind == "size":
         return codec.stat_size(v)
-    if kind == "durfee":
-        from .partitions import durfee_length
+    from .partitions import durfee_length  # durfee on core and strict
 
-        return durfee_length(codec.decode_core(v))
-    raise ValueError(f"statistic {stat!r} is not defined for family {spec.family!r}")
+    return durfee_length(codec.decode_core(v))
+
+
+def resolve_stat(family: str, stat) -> tuple[str, int | None]:
+    """The statistic id in the form the engines read for `family`.
+
+    On selfconj every statistic is a power sum of the diagonal hooks:
+    "length" and "durfee" are ("power", 0), "size" is ("power", 1).  On
+    core and strict a power sum is refused.
+    """
+    kind, k = normalize_stat(stat)
+    if family == "selfconj":
+        return "power", {"length": 0, "durfee": 0, "size": 1}.get(kind, k)
+    if kind == "power":
+        raise ValueError(f"statistic {stat!r} is not defined for family {family!r}")
+    return kind, k
 
 
 def normalize_stat(stat) -> tuple[str, int | None]:

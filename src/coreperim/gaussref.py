@@ -15,10 +15,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable
 
-from .distributions import DiscreteDist
+from .distributions import DiscreteDist, central_moments_from_sums
 
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -40,39 +39,33 @@ def _cdf_integral(t: float) -> float:
 
 
 def _standardized_steps(dist: DiscreteDist):
-    """(standardized point, F(x-), F(x)) triples with float levels.
+    """Yield (standardized point, F(x-), F(x)) with float levels, atom by atom.
 
-    With N the total weight, s1 = sum v*w and s2 = sum v^2*w (one integer
-    pass), the variance is the exact rational (N*s2 - s1^2)/N^2.  The exact
-    rationals x - mu = (v*N - s1)/N and F = acc/N are rounded by int / int,
-    which is correctly rounded as float(Fraction) is, so no Fraction is
-    needed per atom.  A variance or a centred point past the float range
-    is refused with ValueError.
+    N, s1 = sum v*w and s2 = sum v^2*w are the power sums of the pmf, and
+    the variance (N*s2 - s1^2)/N^2 is the exact rational of
+    `central_moments_from_sums`.  The exact rationals x - mu = (v*N - s1)/N
+    and F = acc/N are rounded by int / int, which is correctly rounded as
+    float(Fraction) is, so no Fraction is needed per atom, and the steps are
+    read off the pmf's own view, never held as a list.  A variance or a
+    centred point past the float range is refused with ValueError.
     """
-    items = dist.items()
-    total = dist.total
-    s1 = s2 = 0
-    for v, w in items:
-        vw = v * w
-        s1 += vw
-        s2 += v * vw
-    var = Fraction(total * s2 - s1 * s1, total * total)
+    raw = dist.power_sums(2)
+    total, s1 = raw[0], raw[1]
+    var = central_moments_from_sums(raw)[2]
     if var == 0:
         raise ValueError("distance to normal needs positive variance")
     try:
         sigma = math.sqrt(float(var))
         if sigma == 0.0:
             raise ValueError("distance to normal needs a variance above the float underflow")
-        steps = []
         acc = 0
-        for v, w in items:
+        for v, w in dist.items():
             before = acc / total
             acc += w
-            steps.append(((v * total - s1) / total / sigma, before, acc / total))
+            yield (v * total - s1) / total / sigma, before, acc / total
     except OverflowError:
         # the variance, or a point's distance from the mean, is past the float range
         raise ValueError("distance to normal needs a law within the float range") from None
-    return steps
 
 
 def normal_distances(dist: DiscreteDist) -> tuple[float, float]:

@@ -15,7 +15,6 @@ from coreperim.codec import (
     diagonal_hooks,
     encode_core,
     encode_selfconj,
-    stat_durfee,
     stat_length,
     stat_power_sum,
     stat_size,
@@ -171,7 +170,6 @@ def test_selfconj_stats_match_decoded_partition():
                 p = decode_selfconj(v)
                 hooks = main_diagonal_hooks(p)
                 assert diagonal_hooks(v) == hooks
-                assert stat_durfee(v) == len(hooks)
                 assert stat_power_sum(v, 0) == len(hooks)
                 assert stat_power_sum(v, 1) == p.size
                 for k in (2, 3):

@@ -124,6 +124,10 @@ def test_tail_scales():
     assert concentration_check("core", "length", 5, 3, [1]).scale == 5 * 9
     assert concentration_check("core", "size", 5, 2, [1]).scale == 125 * 16
     assert concentration_check("selfconj", "durfee", 6, 2, [1]).scale == 6 * 4
+    # power:0 and power:1 are durfee and size on selfconj: the same laws, the same scales
+    assert concentration_check("selfconj", "power:0", 6, 2, [1]).scale == 6 * 4
+    assert concentration_check("selfconj", "size", 6, 2, [1]).scale == 216 * 16
+    assert concentration_check("selfconj", "power:1", 6, 2, [1]).scale == 216 * 16
 
 
 def test_subset_sums_match_brute_force():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
@@ -223,13 +224,25 @@ def test_standardized_steps_match_fractions_bit_for_bit():
                 dist = dist_statistic(FamilySpec(family, n, cap), stat)
                 if dist.variance() == 0:
                     continue
-                assert _standardized_steps(dist) == fraction_steps(dist), (family, stat, n, cap)
+                assert list(_standardized_steps(dist)) == fraction_steps(dist), (family, stat, n, cap)
                 checked += 1
     assert checked == 7 * 3 * 8  # every cell has positive variance
     # weights far past the float range, where only exact rounding keeps the levels
     big = 2**1100
     dist = DiscreteDist({-7: big + 1, 0: 3 * big - 5, 2: big // 3, 11: 2 * big + 12345, 40: 9})
-    assert _standardized_steps(dist) == fraction_steps(dist)
+    assert list(_standardized_steps(dist)) == fraction_steps(dist)
+
+
+def test_distances_hold_no_per_atom_copy():
+    # 15 114 atoms: a list of steps or of (value, weight) pairs would take MiBs
+    dist = dist_statistic(FamilySpec("selfconj", 12, 2), "power:3")
+    tracemalloc.start()
+    try:
+        normal_distances(dist)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 << 10, peak
 
 
 # ---------------------------------------------------------------- two-pass oracle
@@ -290,7 +303,7 @@ def two_pass_distances(dist):
 
 def _crossings(dist):
     """Segments whose plateau cuts through Phi (the bisection branch)."""
-    steps = _standardized_steps(dist)
+    steps = list(_standardized_steps(dist))
     return sum(
         normal_cdf(lo) < level < normal_cdf(hi)
         for (lo, _, level), (hi, _, _) in zip(steps, steps[1:])
