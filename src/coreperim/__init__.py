@@ -1,46 +1,49 @@
-"""Exact distributions of partition statistics under perimeter caps."""
+"""Exact distributions of partition statistics under perimeter caps.
 
-from .codec import (
-    CodecError,
-    CoreVector,
-    DiagVector,
-    NotCoreError,
-    NotSelfConjugateError,
-    PerimeterError,
-    decode_core,
-    decode_selfconj,
-    encode_core,
-    encode_selfconj,
-)
-from .distributions import DiscreteDist, convolve
-from .exactdist import MomentReport, dist_statistic, moments
-from .families import FamilySpec, count_family, enumerate_family, sample
-from .partitions import Partition, PartitionError, from_parts, parse_partition
+The exports below are resolved on first access (PEP 562), so that importing
+one submodule, as each CLI command does, loads only what that module uses.
+"""
+from importlib import import_module
 
-__all__ = [
-    "CodecError",
-    "CoreVector",
-    "DiagVector",
-    "DiscreteDist",
-    "FamilySpec",
-    "MomentReport",
-    "NotCoreError",
-    "NotSelfConjugateError",
-    "Partition",
-    "PartitionError",
-    "PerimeterError",
-    "convolve",
-    "count_family",
-    "decode_core",
-    "decode_selfconj",
-    "dist_statistic",
-    "encode_core",
-    "encode_selfconj",
-    "enumerate_family",
-    "from_parts",
-    "moments",
-    "parse_partition",
-    "sample",
-]
+# export name -> the submodule that defines it
+_EXPORTS = {
+    "CodecError": "codec",
+    "CoreVector": "codec",
+    "DiagVector": "codec",
+    "NotCoreError": "codec",
+    "NotSelfConjugateError": "codec",
+    "PerimeterError": "codec",
+    "decode_core": "codec",
+    "decode_selfconj": "codec",
+    "encode_core": "codec",
+    "encode_selfconj": "codec",
+    "DiscreteDist": "distributions",
+    "convolve": "distributions",
+    "MomentReport": "exactdist",
+    "dist_statistic": "exactdist",
+    "moments": "exactdist",
+    "FamilySpec": "families",
+    "count_family": "families",
+    "enumerate_family": "families",
+    "sample": "families",
+    "Partition": "partitions",
+    "PartitionError": "partitions",
+    "from_parts": "partitions",
+    "parse_partition": "partitions",
+}
+
+__all__ = sorted(_EXPORTS)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_EXPORTS[name]}", __name__), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

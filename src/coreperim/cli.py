@@ -15,8 +15,14 @@ import os
 import sys
 from fractions import Fraction
 
-from . import codec, families, gaussref
-from .exactdist import dist_statistic, mixture_identity_check, moment_report
+from . import families
+from .exactdist import (
+    MOMENT_WORK_LIMIT,
+    dist_statistic,
+    mixture_identity_check,
+    moment_report,
+    moment_work,
+)
 from .families import ENUMERATION_LIMIT, FamilySpec
 
 DIFF_TOLERANCE = 0.001 + 1e-9
@@ -139,7 +145,8 @@ def _moment_column(job):
 
 
 def _check_moment_request(family: str, cap: int, ns: list[int], ks: list[int], stat) -> None:
-    """Refuse a table with no standardized moments to print, before any work."""
+    """Refuse, before any work, a table with no standardized moments to print
+    or one whose moment reduction is estimated past MOMENT_WORK_LIMIT."""
     if ks[0] < 3:
         raise ValueError(
             f"--k must start at 3 or above (m1 = 0 and m2 = 1 always), got {ks[0]}"
@@ -151,6 +158,14 @@ def _check_moment_request(family: str, cap: int, ns: list[int], ks: list[int], s
         raise ValueError(
             f"zero variance at family {family}, stat {stat}, n {ns[0]}, cap 0: "
             "standardized moments are undefined"
+        )
+    # the work grows with n, so the last column is the dearest
+    work = moment_work(FamilySpec(family, ns[-1], cap), stat, ks[-1])
+    if work > MOMENT_WORK_LIMIT:
+        raise ValueError(
+            f"--k up to {ks[-1]} at family {family}, stat {stat}, n {ns[-1]}, cap {cap} "
+            f"refused: its moment reduction is estimated at {work} units of work, over "
+            f"MOMENT_WORK_LIMIT = {MOMENT_WORK_LIMIT}"
         )
 
 
@@ -222,12 +237,16 @@ def cmd_dist(args) -> int:
 # --------------------------------------------------------------- distance
 
 def _distance_row(job):
+    from . import gaussref  # only distance reads it; other commands start without it
+
     family, cap, n, stat = job
     rows = gaussref.rate_table(family, stat, cap, [n])
     return n, rows[0]
 
 
 def cmd_distance(args) -> int:
+    from . import gaussref
+
     family, cap, ns = _sweep_from(args)
     jobs = [(family, cap, n, args.stat) for n in ns]
     produced = _run_columns(_distance_row, jobs, args.jobs)
@@ -239,13 +258,15 @@ def cmd_distance(args) -> int:
 # ----------------------------------------------------------------- sample
 
 def cmd_sample(args) -> int:
+    from . import codec  # only sample and verify decode
+
     spec = _spec_from(args)
     if args.seed is None:
         raise ValueError("--seed is required")
     decode = None
     if args.decode:
         decode = codec.decode_selfconj if spec.family == "selfconj" else codec.decode_core
-    as_vector = families.as_vector
+    as_vector = codec.as_vector
 
     # the same bytes as json.dumps: the values are ints, the partition digits and commas
     def line(x) -> str:
@@ -263,13 +284,19 @@ def cmd_sample(args) -> int:
 # ----------------------------------------------------------------- verify
 
 def _verify_checks(quick: bool, limit: int):
-    from . import polya  # only verify reads it; other commands start without it
+    from . import codec, polya  # only verify reads polya; other commands start without it
+
+    def roundtrip(spec: FamilySpec, x) -> bool:
+        vec = codec.as_vector(spec, x)
+        if spec.family == "selfconj":
+            return codec.encode_selfconj(codec.decode_selfconj(vec), spec.n, spec.cap) == vec
+        return codec.encode_core(codec.decode_core(vec), spec.n, spec.cap) == vec
 
     n_code, cap_code = (5, 2) if quick else (7, 3)
     yield (
         "bijection round-trips",
         lambda: all(
-            _roundtrip(spec, x)
+            roundtrip(spec, x)
             for fam in families.FAMILIES
             for n in range(2, n_code + 1)
             for cap in range(0, cap_code + 1)
@@ -330,16 +357,8 @@ def _verify_checks(quick: bool, limit: int):
     )
 
 
-def _roundtrip(spec: FamilySpec, x) -> bool:
-    vec = families.as_vector(spec, x)
-    if spec.family == "selfconj":
-        p = codec.decode_selfconj(vec)
-        return codec.encode_selfconj(p, spec.n, spec.cap) == vec
-    p = codec.decode_core(vec)
-    return codec.encode_core(p, spec.n, spec.cap) == vec
-
-
 def _pinned_example() -> bool:
+    from . import codec
     from .partitions import beta_set, from_parts, is_s_core
 
     p = from_parts((6, 3, 2, 1))

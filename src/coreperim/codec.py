@@ -12,10 +12,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .families import FamilySpec, resolve_stat
 from .partitions import (
     Partition,
     beta_set,
     column_heights,
+    durfee_length,
     from_beta_set,
     is_s_core,
     is_self_conjugate,
@@ -163,3 +165,23 @@ def stat_power_sum(v: DiagVector, k: int) -> int:
     if k < 0:
         raise ValueError("power k must be non-negative")
     return sum(h**k for h in diagonal_hooks(v))
+
+
+def as_vector(spec: FamilySpec, x: tuple[int, ...]):
+    """A family member's tuple as the codec's vector: DiagVector for selfconj, else CoreVector."""
+    if spec.family == "selfconj":
+        return DiagVector(spec.n, spec.cap, x)
+    return CoreVector(spec.n, spec.cap, x)
+
+
+def statistic_value(spec: FamilySpec, stat, x: tuple[int, ...]) -> int:
+    """Evaluate a statistic id ("length", "size", "durfee", ("power", k)) on a tuple."""
+    kind, k = resolve_stat(spec.family, stat)
+    v = as_vector(spec, x)
+    if kind == "power":
+        return stat_power_sum(v, k)
+    if kind == "length":
+        return stat_length(v)
+    if kind == "size":
+        return stat_size(v)
+    return durfee_length(decode_core(v))  # durfee on core and strict

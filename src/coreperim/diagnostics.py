@@ -12,7 +12,7 @@ from fractions import Fraction
 from math import comb
 from typing import Iterable, Sequence
 
-from .distributions import DiscreteDist
+from .distributions import DiscreteDist, central_moments_from_sums
 from .exactdist import decode_lanes, dist_statistic, size_coefficients, size_components
 from .families import FamilySpec, resolve_stat, stat_name
 
@@ -138,10 +138,11 @@ def concentration_check(family: str, stat, n: int, cap: int, multiples: Sequence
     """Exact two-sided tails at radii given as multiples of sigma."""
     spec = FamilySpec(family, n, cap)
     dist = dist_statistic(spec, stat)
-    var = dist.variance()
+    total, s1, s2 = dist.power_sums(2)
+    var = central_moments_from_sums([total, s1, s2])[2]
     if var == 0:
         raise ValueError("degenerate distribution has no tail scale")
-    mu = dist.mean()
+    mu = Fraction(s1, total)
     scale = _tail_scale(family, stat, n, cap)
     sigma = math.sqrt(float(var))
     entries = []
@@ -149,9 +150,11 @@ def concentration_check(family: str, stat, n: int, cap: int, multiples: Sequence
         mult = Fraction(mult)
         if mult <= 0:
             raise ValueError("need positive sigma multiples")
-        # (v - mu)^2 >= mult^2 var is an exact rational comparison
+        # (v - mu)^2 >= thr = num/den, times N^2 den: an exact integer comparison per atom
         thr = mult * mult * var
-        weight = sum(w for v, w in dist.items() if (v - mu) ** 2 >= thr)
+        num, den = thr.numerator, thr.denominator
+        bound = num * total * total
+        weight = sum(w for v, w in dist.items() if (v * total - s1) ** 2 * den >= bound)
         tail = Fraction(weight, dist.total)
         r = float(mult) * sigma
         if tail == 0:

@@ -28,8 +28,13 @@ The automaton feeds two folds:
     family, so its statistic is >= 0 and a shift to the right drops only
     empty lanes.  The fold's cost is bounded before its first step and
     refused above PMF_BYTE_BUDGET.
-  * `_fold_power_sums` carries exact power sums per state (`power_sums`,
-    `moment_report`), so the moment engine never builds a pmf.
+  * `_fold_power_sums` carries exact power sums per state, with no pmf.
+
+`power_sums` (and so `moment_report`) takes, per column, whichever of the
+two gives its power sums with the smaller work estimate, read off the
+automaton before either runs (`sums_engine`): small columns are read off
+the pmf, large ones and every selfconj power sum at k_max 8 fold.  Both are
+exact integer folds, so the choice never changes a printed digit.
 
 All weights stay arbitrary-precision integers; floats appear only when a
 standardized moment is finally printed.
@@ -62,7 +67,11 @@ __all__ = [
     "dist_statistic",
     "moments",
     "moment_report",
+    "moment_work",
+    "MOMENT_WORK_LIMIT",
     "power_sums",
+    "fold_power_sums",
+    "sums_engine",
     "conditional_stat",
     "ConditionalStat",
     "legal_supports",
@@ -80,8 +89,11 @@ _ATOM_BYTES = 320
 def dist_statistic(spec: FamilySpec, stat) -> DiscreteDist:
     """Exact pmf of a statistic over the uniform family: one lane fold."""
     states, steps, lanes = _automaton(spec, stat)
-    label = f"family {spec.family}, stat {stat}, n {spec.n}, cap {spec.cap}"
-    return DiscreteDist(_fold_pmf(states, _moves(steps, lanes), label))
+    return DiscreteDist(_fold_pmf(states, _moves(steps, lanes), _label(spec, stat), lanes))
+
+
+def _label(spec: FamilySpec, stat) -> str:
+    return f"family {spec.family}, stat {stat}, n {spec.n}, cap {spec.cap}"
 
 
 def _automaton(spec: FamilySpec, stat):
@@ -159,7 +171,7 @@ def _move(lanes: int):
     return lambda c: (c[0], (c[1] - c[0]) // 2)
 
 
-def _fold_pmf(states: int, steps: list, label: str) -> dict[int, int]:
+def _fold_pmf(states: int, steps: list, label: str, lanes: int | None = None) -> dict[int, int]:
     """Weights of the statistic T - C(a, 2) over every path (all states accept).
 
     `steps` holds, per coordinate, transitions (src, dst, moves) with moves a
@@ -170,9 +182,9 @@ def _fold_pmf(states: int, steps: list, label: str) -> dict[int, int]:
     that many lanes to (dst, a + da).  The module docstring proves that no
     lane carries, so a shift to the right drops only empty lanes.  The lanes
     of the sum of the last layer are the pmf.  Lane width and budget:
-    `_lane_bytes`.
+    `_PmfShape`.
     """
-    width = _lane_bytes(states, steps, label)
+    width = _PmfShape.of(states, steps).lane_bytes(label, lanes)
     bits = 8 * width
     layer = [{0: 1}] + [{} for _ in range(states - 1)]
     for transitions in steps:
@@ -209,36 +221,62 @@ def decode_lanes(packed: int, width: int) -> list[int]:
     return [int.from_bytes(raw[j : j + width], "little") for j in range(0, size, width)]
 
 
-def _lane_bytes(states: int, steps: list, label: str) -> int:
-    """L/8, the lane width in bytes of `_fold_pmf`: ceil(bits(N)/8) rounded up
-    to 1, 2, 4 or 8 when it is at most 8, so that `decode_lanes` casts.
+@dataclass(frozen=True)
+class _PmfShape:
+    """What `_fold_pmf` will hold, read off the automaton before its first step.
 
-    N, the path count, comes from a fold of plain counts; the module
-    docstring proves that no lane then carries.  Before that width is
-    returned the cost is bounded: with a_top and t_top the sums over the
-    steps of the largest da and t, a layer holds at most
+    `paths` is N, the path count, from a fold of plain counts.  `width` is
+    L/8, the lane width in bytes: ceil(bits(N)/8) rounded up to 1, 2, 4 or 8
+    when it is at most 8, so that `decode_lanes` casts; the module docstring
+    proves that no lane then carries.  With a_top and t_top the sums over
+    the steps of the largest da and t, a layer holds at most
     states*(a_top + 1) integers of t_top + 1 lanes (0 <= u <= T), and the
-    pmf at most t_top + 1 atoms.  A request whose layer lanes plus atoms at
-    _ATOM_BYTES each exceed PMF_BYTE_BUDGET is refused.
+    pmf at most t_top + 1 atoms.
     """
-    counts = [1] + [0] * (states - 1)
-    for transitions in steps:
-        nxt = [0] * states
-        for src, dst, moves in transitions:
-            nxt[dst] += counts[src] * moves.total()
-        counts = nxt
-    width = -(-sum(counts).bit_length() // 8)
-    if width <= 8:
-        width = 1 << (width - 1).bit_length()  # 1, 2, 4 or 8: a cast decode
-    a_top = sum(max(da for *_, moves in tr for da, _ in moves) for tr in steps)
-    t_top = sum(max(t for *_, moves in tr for _, t in moves) for tr in steps)
-    need = (t_top + 1) * (states * (a_top + 1) * width + _ATOM_BYTES)
-    if need > PMF_BYTE_BUDGET:
-        raise ValueError(
-            f"pmf of {label} refused: it may need {need} bytes, over "
-            f"PMF_BYTE_BUDGET = {PMF_BYTE_BUDGET}; `moments` gives its moments without the pmf"
-        )
-    return width
+
+    states: int
+    steps: int
+    paths: int
+    width: int
+    a_top: int
+    t_top: int
+
+    @classmethod
+    def of(cls, states: int, steps: list) -> "_PmfShape":
+        counts = [1] + [0] * (states - 1)
+        for transitions in steps:
+            nxt = [0] * states
+            for src, dst, moves in transitions:
+                nxt[dst] += counts[src] * moves.total()
+            counts = nxt
+        paths = sum(counts)
+        width = -(-paths.bit_length() // 8)
+        if width <= 8:
+            width = 1 << (width - 1).bit_length()  # 1, 2, 4 or 8: a cast decode
+        a_top = sum(max(da for *_, moves in tr for da, _ in moves) for tr in steps)
+        t_top = sum(max(t for *_, moves in tr for _, t in moves) for tr in steps)
+        return cls(states, len(steps), paths, width, a_top, t_top)
+
+    @property
+    def need(self) -> int:
+        """Bytes of the widest layer's lanes plus the atoms at _ATOM_BYTES each."""
+        return (self.t_top + 1) * (self.states * (self.a_top + 1) * self.width + _ATOM_BYTES)
+
+    def lane_bytes(self, label: str, lanes: int | None) -> int:
+        """`width`, once the fold is known to fit PMF_BYTE_BUDGET; else one refusal line.
+
+        A statistic of the family (`lanes` given) is told how far `moments`
+        reaches it by the power-sum fold, which needs no pmf.
+        """
+        if self.need > PMF_BYTE_BUDGET:
+            reach = "" if lanes is None else (
+                f"; `moments` reaches its orders up to {_fold_reach(lanes)} without a pmf"
+            )
+            raise ValueError(
+                f"pmf of {label} refused: it may need {self.need} bytes, over "
+                f"PMF_BYTE_BUDGET = {PMF_BYTE_BUDGET}{reach}"
+            )
+        return self.width
 
 
 @dataclass(frozen=True)
@@ -275,6 +313,27 @@ def moment_report(spec: FamilySpec, stat, k_max: int) -> MomentReport:
     return _report(raw, k_max, meta)
 
 
+# `_report` turns power sums into central moments (`central_moments_from_sums`,
+# about k_max^2 / 2 products) and rounds each order (`round_half_away`).  The
+# order-k terms are about k * b bits wide, b = bits(N) + bits(max s), so
+# k_max^3 * b estimates its work in units of roughly 1-2 ns each (measured
+# with CPython 3.11 on x86-64: core length d=3 n=5 at k_max 400 takes about
+# 1 s for 8.3e8 units, 800 about 12 s).  A request estimated past the limit
+# is refused before any fold.
+MOMENT_WORK_LIMIT = 2 * 10**9
+
+
+def moment_work(spec: FamilySpec, stat, k_max: int) -> int:
+    """k_max^3 * (bits(N) + bits(max s)): the estimated work of `_report` at k_max.
+
+    The statistic lies in 0..t_top (S = T - C(A, 2) <= T), so the automaton
+    bounds it before any fold.
+    """
+    states, steps, lanes = _automaton(spec, stat)
+    shape = _PmfShape.of(states, _moves(steps, lanes))
+    return k_max**3 * (shape.paths.bit_length() + shape.t_top.bit_length())
+
+
 def _report(raw: list[int], k_max: int, meta: dict) -> MomentReport:
     central = central_moments_from_sums(raw)
     variance = central[2]
@@ -309,32 +368,116 @@ def _std_sq(central: tuple[Fraction, ...], k: int) -> tuple[int, Fraction]:
 
 # The fold's plan holds sum over the index of prod_t (e_t + 1) terms, and
 # each coordinate costs that many products: k_max^4 / 6 for size, k_max^2 / 2
-# otherwise.  Past this limit (size k_max > 16, other statistics k_max > 198)
-# the power sums are read off the pmf, so no order allocates a huge plan.
+# otherwise.  This is the fold's hard cap: past it (size k_max > 16, other
+# statistics k_max > 198) the power sums are read off the pmf, so no order
+# allocates a huge plan, and a pmf over PMF_BYTE_BUDGET is refused.
 FOLD_PLAN_LIMIT = 20_000
+
+# Below the cap `power_sums` takes whichever exact engine its work estimate
+# calls cheaper, in rough nanoseconds:
+#   fold  FOLD_TERM_NS[lanes] * plan terms * transitions of the automaton,
+#   pmf   LAYER_BYTE_NS[lanes] * widest layer bytes * steps
+#         + ATOM_ORDER_NS * (t_top + 1) * (k_max + 1), the pass over the atoms.
+# The layer bound (a_top + 1) * (t_top + 1) lanes over-counts size (two
+# lanes) far more than a one-lane statistic, hence one pair of weights per
+# lane count.  The weights were fitted to the crossover curve in
+# BENCH_14.json (CPython 3.11, x86-64); only their ratios decide, and the
+# columns they send the slower way lie at a crossover, where the two engines
+# are within about a quarter of each other.
+FOLD_TERM_NS = {1: 800, 2: 200}
+LAYER_BYTE_NS = {1: 3, 2: 0.25}
+ATOM_ORDER_NS = 100
 
 
 def power_sums(spec: FamilySpec, stat, k_max: int) -> list[int]:
-    """[sum of s^j over the family, j = 0..k_max] for the statistic s; no pmf.
+    """[sum of s^j over the family, j = 0..k_max] for the statistic s.
 
-    Length and the selfconj power sums carry one lane.  Size over
-    core/strict carries (A, V) and sums A^p V^q for p + 2q <= 2*k_max; then
-    S = (V - A^2)/2 gives sum S^j = 2^-j sum_m C(j,m) (-1)^m sum A^2m V^(j-m).
-    Orders whose fold plan exceeds FOLD_PLAN_LIMIT are read off the pmf.
+    Two exact integer engines give the same list: the power-sum fold
+    (`_fold_sums`) and the pmf's own sums.  `sums_engine` picks the one
+    with the smaller work estimate, before either runs.
     """
-    states, steps, lanes = _automaton(spec, stat)
+    column = _SumsColumn.of(spec, stat, k_max)
+    if column.engine == "pmf":
+        pmf = _fold_pmf(column.states, column.moves, _label(spec, stat), column.lanes)
+        return DiscreteDist(pmf).power_sums(k_max)
+    return _fold_sums(column)
+
+
+def sums_engine(spec: FamilySpec, stat, k_max: int) -> str:
+    """"fold" or "pmf": the engine `power_sums(spec, stat, k_max)` takes."""
+    return _SumsColumn.of(spec, stat, k_max).engine
+
+
+def fold_power_sums(spec: FamilySpec, stat, k_max: int) -> list[int]:
+    """`power_sums` by the fold alone, whatever its cost: an independent check of the pmf."""
+    return _fold_sums(_SumsColumn.of(spec, stat, k_max))
+
+
+@dataclass(frozen=True)
+class _SumsColumn:
+    """One `power_sums` request: its automaton, its fold index and its pmf shape."""
+
+    states: int
+    steps: list
+    lanes: int
+    moves: list
+    index: list[tuple[int, ...]]
+    k_max: int
+
+    @classmethod
+    def of(cls, spec: FamilySpec, stat, k_max: int) -> "_SumsColumn":
+        states, steps, lanes = _automaton(spec, stat)
+        steps = list(steps)
+        return cls(states, steps, lanes, _moves(steps, lanes), _sum_index(lanes, k_max), k_max)
+
+    @property
+    def engine(self) -> str:
+        terms = _plan_terms(self.index)
+        if terms > FOLD_PLAN_LIMIT:
+            return "pmf"
+        shape = _PmfShape.of(self.states, self.moves)
+        if shape.need > PMF_BYTE_BUDGET:
+            return "fold"
+        fold_ns = FOLD_TERM_NS[self.lanes] * terms * sum(map(len, self.steps))
+        layer = (shape.a_top + 1) * (shape.t_top + 1) * shape.width
+        pmf_ns = (
+            LAYER_BYTE_NS[self.lanes] * layer * shape.steps
+            + ATOM_ORDER_NS * (shape.t_top + 1) * (self.k_max + 1)
+        )
+        return "pmf" if pmf_ns < fold_ns else "fold"
+
+
+def _sum_index(lanes: int, k_max: int) -> list[tuple[int, ...]]:
+    """The fold's index: j <= k_max for one lane, A^p V^q with p + 2q <= 2*k_max for size."""
     if lanes == 1:
-        index = [(j,) for j in range(k_max + 1)]
-    else:
-        index = [(p, q) for q in range(k_max + 1) for p in range(2 * (k_max - q) + 1)]
-    if sum(prod(a + 1 for a in e) for e in index) > FOLD_PLAN_LIMIT:
-        return dist_statistic(spec, stat).power_sums(k_max)
-    sums = _fold_power_sums(states, steps, index)
-    if lanes == 1:
+        return [(j,) for j in range(k_max + 1)]
+    return [(p, q) for q in range(k_max + 1) for p in range(2 * (k_max - q) + 1)]
+
+
+def _plan_terms(index: list[tuple[int, ...]]) -> int:
+    return sum(prod(a + 1 for a in e) for e in index)
+
+
+def _fold_reach(lanes: int) -> int:
+    """The largest k_max whose fold plan fits FOLD_PLAN_LIMIT: 198 for one lane, 16 for size."""
+    k = 0
+    while _plan_terms(_sum_index(lanes, k + 1)) <= FOLD_PLAN_LIMIT:
+        k += 1
+    return k
+
+
+def _fold_sums(column: _SumsColumn) -> list[int]:
+    """Power sums by the fold.  Length and the selfconj power sums carry one lane.
+
+    Size over core/strict carries (A, V) and sums A^p V^q for p + 2q <= 2*k_max;
+    then S = (V - A^2)/2 gives sum S^j = 2^-j sum_m C(j,m) (-1)^m sum A^2m V^(j-m).
+    """
+    sums = _fold_power_sums(column.states, column.steps, column.index)
+    if column.lanes == 1:
         return sums
-    mixed = dict(zip(index, sums))
+    mixed = dict(zip(column.index, sums))
     out = []
-    for j in range(k_max + 1):
+    for j in range(column.k_max + 1):
         scaled = sum((-1) ** m * comb(j, m) * mixed[(2 * m, j - m)] for m in range(j + 1))
         assert scaled % 2**j == 0
         out.append(scaled // 2**j)

@@ -12,8 +12,6 @@ from dataclasses import dataclass
 from itertools import repeat
 from typing import Iterator
 
-from . import codec
-from .distributions import DiscreteDist
 from .rng import SplitMix64, plan
 
 FAMILIES = ("core", "strict", "selfconj")
@@ -164,27 +162,6 @@ def _sample_selfconj(spec: FamilySpec, take, pair) -> tuple[int, ...]:
     return tuple(x)
 
 
-def as_vector(spec: FamilySpec, x: tuple[int, ...]):
-    if spec.family == "selfconj":
-        return codec.DiagVector(spec.n, spec.cap, x)
-    return codec.CoreVector(spec.n, spec.cap, x)
-
-
-def statistic_value(spec: FamilySpec, stat, x: tuple[int, ...]) -> int:
-    """Evaluate a statistic id ("length", "size", "durfee", ("power", k)) on a tuple."""
-    kind, k = resolve_stat(spec.family, stat)
-    v = as_vector(spec, x)
-    if kind == "power":
-        return codec.stat_power_sum(v, k)
-    if kind == "length":
-        return codec.stat_length(v)
-    if kind == "size":
-        return codec.stat_size(v)
-    from .partitions import durfee_length  # durfee on core and strict
-
-    return durfee_length(codec.decode_core(v))
-
-
 def resolve_stat(family: str, stat) -> tuple[str, int | None]:
     """The statistic id in the form the engines read for `family`.
 
@@ -224,8 +201,15 @@ def stat_name(stat) -> str:
     return kind if k is None else f"power:{k}"
 
 
-def oracle_distribution(spec: FamilySpec, stat, limit: int = ENUMERATION_LIMIT) -> DiscreteDist:
-    """Exact pmf of a statistic by full enumeration; ground truth for the DP engines."""
+def oracle_distribution(spec: FamilySpec, stat, limit: int = ENUMERATION_LIMIT):
+    """Exact pmf of a statistic by full enumeration; ground truth for the DP engines.
+
+    The codec evaluates each vector; it and the pmf type are imported here,
+    so that the commands that never enumerate start without them.
+    """
+    from .codec import statistic_value
+    from .distributions import DiscreteDist
+
     atoms: dict[int, int] = {}
     for x in enumerate_family(spec, limit):
         value = statistic_value(spec, stat, x)

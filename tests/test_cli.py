@@ -7,10 +7,12 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+import coreperim
 from coreperim.cli import (
     DIFF_TOLERANCE,
+    MOMENT_WORK_LIMIT,
     RANGE_LIMIT,
     _resolve_flags,
     build_parser,
@@ -215,6 +217,74 @@ def test_dist_over_the_step_limit_is_refused():
     assert line.startswith("error: ") and "Traceback" not in proc.stderr
     for part in ("family selfconj", "stat power:3", "n 40", "cap 2", "moments"):
         assert part in line
+
+
+# past FOLD_PLAN_LIMIT (orders over 198 for a one-lane statistic) `moments`
+# reads the power sums off the pmf, which is refused here
+PMF_REFUSED = ["moments", "--family", "selfconj", "--stat", "power:3", "--e", "2",
+               "--n", "21", "--k", "3..300"]
+# orders whose moment reduction is estimated past MOMENT_WORK_LIMIT
+K_REFUSED = ["moments", "--family", "core", "--stat", "length", "--d", "3", "--n", "5",
+             "--k", "3..3000"]
+
+
+def test_moments_past_the_fold_reach_refuses_the_pmf_in_one_true_line(capsys):
+    code, out, err = run(capsys, *PMF_REFUSED)
+    assert (code, out) == (1, "")
+    (line,) = err.splitlines()
+    assert line.startswith("error: pmf of family selfconj, stat power:3, n 21, cap 2 refused")
+    assert line.endswith("`moments` reaches its orders up to 198 without a pmf")
+
+
+def test_moment_orders_are_bounded_before_any_fold(capsys):
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, *K_REFUSED)
+    assert time.perf_counter() - t0 < 1.0
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: --k up to 3000 at family core, stat length, n 5, cap 3 refused: its moment "
+        f"reduction is estimated at {3000**3 * (9 + 4)} units of work, over "
+        f"MOMENT_WORK_LIMIT = {MOMENT_WORK_LIMIT}\n"
+    )
+    code, out, _ = run(capsys, *K_REFUSED[:-1], "3..400")
+    assert code == 0 and len(out.splitlines()) == 399
+
+
+# coreperim modules a command does not run, absent after it ran in a fresh interpreter
+NOT_LOADED = {
+    "moments": ({"codec", "partitions", "gaussref", "polya"},
+                ["--family", "core", "--stat", "size", "--d", "3", "--n", "5..8"]),
+    "distance": ({"codec", "partitions", "polya"},
+                 ["--family", "strict", "--stat", "size", "--d", "2", "--n", "9"]),
+    "sample": ({"gaussref", "polya"},
+               ["--family", "selfconj", "--e", "2", "--n", "9", "--seed", "3", "--count", "4",
+                "--decode"]),
+}
+
+
+@pytest.mark.parametrize("command", sorted(NOT_LOADED))
+def test_each_command_loads_only_its_own_modules(tmp_path, command):
+    absent, flags = NOT_LOADED[command]
+    script = ("import sys\nfrom coreperim.cli import main\nrc = main(sys.argv[1:])\n"
+              "print(rc, *sorted(m for m in sys.modules if m.startswith('coreperim.')))")
+    proc = subprocess.run([sys.executable, "-c", script, command, *flags,
+                           "--out", str(tmp_path / "out.txt")],
+                          capture_output=True, text=True, check=True)
+    rc, *loaded = proc.stdout.split()
+    assert rc == "0" and (tmp_path / "out.txt").read_text()
+    loaded = {name.removeprefix("coreperim.") for name in loaded}
+    assert {"cli", "exactdist", "families"} <= loaded
+    assert not loaded & absent, loaded & absent
+
+
+def test_every_export_resolves():
+    for name in coreperim.__all__:
+        scope = {}
+        exec(f"from coreperim import {name}", scope)
+        assert scope[name] is getattr(coreperim, name)
+    assert set(coreperim.__all__) <= set(dir(coreperim))
+    with pytest.raises(AttributeError):
+        coreperim.no_such_name
 
 
 @pytest.mark.parametrize("sub", ["moments", "distance", "dist"])
@@ -464,14 +534,15 @@ NS = st.one_of(
     st.tuples(st.integers(2, 8), st.integers(0, 3)).map(lambda t: f"{t[0]}..{min(t[0] + t[1], 8)}"),
     st.sampled_from(["-1", "1", "8..5", "x"]),
 )
-# small values only: n <= 8, k within 3..8, count <= 5; never --jobs
+# small values only: n <= 8, k within 3..8 (3..3000 is refused before any work),
+# count <= 5; never --jobs
 VALUES = {
     "family": _mostly(["core", "strict", "selfconj"], ["bogus"]),
     "stat": _mostly(["length", "size", "durfee", "power:0", "power:2"], ["power:-1", "power", "width"]),
     "d": _mostly(["1", "2", "3"], ["0", "-1", "x"]),
     "e": _mostly(["1", "2", "3"], ["0", "-1", "x"]),
     "n": NS,
-    "k": _mostly(["3..8", "3..4", "5", "8"], ["x", "1..2", "8..3"]),
+    "k": _mostly(["3..8", "3..4", "5", "8"], ["x", "1..2", "8..3", "3..3000"]),
     "seed": _mostly(["0", "7"], ["-3", "x"]),
     "count": _mostly(["0", "1", "5"], ["-1", "x"]),
     "limit": _mostly(["100000"], ["10", "x"]),
@@ -491,7 +562,10 @@ FLAGS = {
 
 @st.composite
 def cli_calls(draw):
-    """(argv, config text or None) over every subcommand, small sizes only."""
+    """(argv, config text or None) over every subcommand, small sizes only,
+    now and then one of the two cost refusals of `moments`."""
+    if draw(_mostly([False], [True])):
+        return draw(st.sampled_from([PMF_REFUSED, K_REFUSED])), None
     command = draw(_mostly(sorted(FLAGS), ["bogus"]))
     argv = [command]
     keys = list(FLAGS.get(command, ()))
@@ -523,6 +597,8 @@ def cli_calls(draw):
 
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(cli_calls())
+@example(call=(PMF_REFUSED, None))
+@example(call=(K_REFUSED, None))
 def test_cli_contract_fuzz(tmp_path, capsys, call):
     argv, config = call
     argv = [a.replace("@tmp", str(tmp_path)) for a in argv]

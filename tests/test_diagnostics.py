@@ -174,3 +174,26 @@ def test_subset_sum_rates_columns():
         assert r["scaled_dK"] == pytest.approx(factor * r["dK"])
         assert r["scaled_dW"] == pytest.approx(factor * r["dW"])
         assert 0 < r["dK"] < 0.1
+
+
+def test_concentration_reports_are_pinned():
+    # sha256 of every TailReport.to_json() over a grid, generated before the
+    # per-atom tail test moved from Fractions to integers; every tail stays ==
+    multiples = [Fraction(1, 2), 1, Fraction(3, 2), 2, Fraction(5, 2), 3]
+    grid = [
+        (family, stat, n, cap)
+        for family, stats in (("core", ("length", "size")), ("strict", ("length", "size")),
+                              ("selfconj", ("length", "size", "power:0", "power:1")))
+        for stat in stats
+        for n in range(3, 13)
+        for cap in (1, 2, 3)
+    ]
+    digest = hashlib.sha256()
+    for family, stat, n, cap in grid:
+        rep = concentration_check(family, stat, n, cap, multiples)
+        digest.update(json.dumps(rep.to_json(), sort_keys=True).encode() + b"\n")
+    assert digest.hexdigest() == "9797b93c5d7ad927e7686cb1462412ddcf9264a605536cdcb5babd3e27bc80cb"
+    rep = concentration_check("core", "size", 40, 3, [1, 2, 3])
+    assert hashlib.sha256(json.dumps(rep.to_json(), sort_keys=True).encode()).hexdigest() == (
+        "623289535199239ab79006f8e6501a1f76ef0b489eb5aa029697516c5732b468"
+    )

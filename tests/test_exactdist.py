@@ -9,25 +9,22 @@ from hypothesis import given, strategies as st
 
 from coreperim import exactdist
 from coreperim.distributions import DiscreteDist
+from coreperim.codec import statistic_value
 from coreperim.exactdist import (
     ConditionalStat,
     MomentReport,
     conditional_stat,
     decode_lanes,
     dist_statistic,
+    fold_power_sums,
     legal_supports,
     mixture_identity_check,
     moment_report,
     moments,
     power_sums,
+    sums_engine,
 )
-from coreperim.families import (
-    FamilySpec,
-    count_family,
-    enumerate_family,
-    oracle_distribution,
-    statistic_value,
-)
+from coreperim.families import FamilySpec, count_family, enumerate_family, oracle_distribution
 
 
 def stats_for(family):
@@ -202,14 +199,74 @@ def test_moment_engine_matches_pmf_on_oracle_grid():
                 assert moment_report(spec, stat, 8).degenerate == (cap == 0)
 
 
+# columns that straddle the measured fold/pmf crossovers at k_max = 8
+CROSSOVER_GRIDS = [
+    ("strict", "size", 2, range(40, 49)),
+    ("core", "size", 3, range(20, 26)),
+    ("core", "length", 3, range(100, 151)),
+    ("selfconj", "power:2", 2, range(8, 17)),
+]
+
+
 def test_power_sums_equal_the_pmf_sums_on_oracle_grid():
+    # the fold itself, not `power_sums`, which reads small columns off the pmf;
     # raw sums, totals included: cap 0 (strict's empty 0 -> 1 step) and the
     # skipped zero-contribution steps must leave the path count exact
     for family in ("core", "strict", "selfconj"):
         for n, cap in product(range(2, 9), range(4)):
             spec = FamilySpec(family, n, cap)
             for stat in stats_for(family):
-                assert power_sums(spec, stat, 6) == dist_statistic(spec, stat).power_sums(6)
+                assert fold_power_sums(spec, stat, 6) == dist_statistic(spec, stat).power_sums(6)
+    for family, stat, cap, ns in GOLDEN_GRIDS + CROSSOVER_GRIDS:
+        for n in ns:
+            spec = FamilySpec(family, n, cap)
+            assert fold_power_sums(spec, stat, 8) == dist_statistic(spec, stat).power_sums(8)
+
+
+def test_power_sums_switch_engine_once_across_each_crossover():
+    for family, stat, cap, ns in CROSSOVER_GRIDS:
+        engines = [sums_engine(FamilySpec(family, n, cap), stat, 8) for n in ns]
+        switch = engines.count("pmf")
+        assert engines == ["pmf"] * switch + ["fold"] * (len(ns) - switch), (family, stat)
+        # selfconj power sums always fold; the other three cross inside their range
+        assert (0 < switch < len(ns)) == (family != "selfconj"), (family, stat, engines)
+        spec = FamilySpec(family, ns[switch - 1], cap)
+        assert power_sums(spec, stat, 8) == fold_power_sums(spec, stat, 8)
+
+
+# the columns of the benchmark's `tables` workload (eight golden tables, then
+# four larger ones) and the engine each takes at k 3..8: p pmf, f fold
+TABLE_ENGINES = [
+    ("core", "length", 3, range(5, 15), "pppppppppp"),
+    ("core", "size", 3, range(5, 15), "pppppppppp"),
+    ("strict", "length", 2, range(8, 18), "pppppppppp"),
+    ("strict", "size", 2, range(8, 18), "pppppppppp"),
+    ("selfconj", "power:0", 2, range(6, 16), "pppppppppp"),
+    ("selfconj", "power:1", 2, range(6, 16), "ppffffffff"),
+    ("selfconj", "power:2", 2, range(6, 16), "ffffffffff"),
+    ("selfconj", "power:3", 2, range(6, 16), "ffffffffff"),
+    ("core", "size", 3, range(15, 21), "pppppp"),
+    ("strict", "size", 2, range(18, 33), "ppppppppppppppp"),
+    ("core", "length", 3, range(200, 204), "ffff"),
+    ("selfconj", "power:3", 2, range(16, 18), "ff"),
+]
+
+
+def test_table_columns_take_the_pinned_engine():
+    for family, stat, cap, ns, pinned in TABLE_ENGINES:
+        got = "".join(sums_engine(FamilySpec(family, n, cap), stat, 8)[0] for n in ns)
+        assert got == pinned, (family, stat, cap)
+    assert {"p", "f"} <= set("".join(row[-1] for row in TABLE_ENGINES))
+
+
+def test_the_pmf_is_never_chosen_past_its_byte_budget(monkeypatch):
+    # core size d=3 n=10 reads off the pmf, until the budget would refuse it
+    spec = FamilySpec("core", 10, 3)
+    expected = dist_statistic(spec, "size").power_sums(8)
+    assert sums_engine(spec, "size", 8) == "pmf"
+    monkeypatch.setattr(exactdist, "PMF_BYTE_BUDGET", 1000)
+    assert sums_engine(spec, "size", 8) == "fold"
+    assert power_sums(spec, "size", 8) == expected
 
 
 def test_power_sums_past_the_plan_limit_and_errors():
@@ -336,7 +393,7 @@ def test_lane_widths_are_padded_for_the_cast():
     for raw, padded in zip(range(1, 10), (1, 2, 4, 4, 8, 8, 8, 8, 9)):
         spec = FamilySpec("core", 8 * raw, 1)
         states, steps, lanes = exactdist._automaton(spec, "length")
-        assert exactdist._lane_bytes(states, exactdist._moves(steps, lanes), "x") == padded
+        assert exactdist._PmfShape.of(states, exactdist._moves(steps, lanes)).width == padded
         assert dist_statistic(spec, "length").atoms == {
             k: comb(8 * raw - 1, k) for k in range(8 * raw)
         }

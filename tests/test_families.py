@@ -6,17 +6,16 @@ import pytest
 from scipy.stats import chi2
 
 from coreperim import codec, families
+from coreperim.codec import as_vector, statistic_value
 from coreperim.families import (
     FAMILIES,
     FamilySpec,
     FamilyTooLargeError,
-    as_vector,
     count_family,
     enumerate_family,
     member,
     sample,
     stat_name,
-    statistic_value,
     strict_suffix_counts,
 )
 from coreperim.rng import SplitMix64, plan
