@@ -5,32 +5,17 @@ one submodule, as each CLI command does, loads only what that module uses.
 """
 from importlib import import_module
 
-# export name -> the submodule that defines it
-_EXPORTS = {
-    "CodecError": "codec",
-    "CoreVector": "codec",
-    "DiagVector": "codec",
-    "NotCoreError": "codec",
-    "NotSelfConjugateError": "codec",
-    "PerimeterError": "codec",
-    "decode_core": "codec",
-    "decode_selfconj": "codec",
-    "encode_core": "codec",
-    "encode_selfconj": "codec",
-    "DiscreteDist": "distributions",
-    "convolve": "distributions",
-    "MomentReport": "exactdist",
-    "dist_statistic": "exactdist",
-    "moments": "exactdist",
-    "FamilySpec": "families",
-    "count_family": "families",
-    "enumerate_family": "families",
-    "sample": "families",
-    "Partition": "partitions",
-    "PartitionError": "partitions",
-    "from_parts": "partitions",
-    "parse_partition": "partitions",
+# the submodule that defines each export
+_FROM = {
+    "codec": ("CodecError", "CoreVector", "DiagVector", "NotCoreError", "NotSelfConjugateError",
+              "PerimeterError", "decode_core", "decode_selfconj", "encode_core",
+              "encode_selfconj"),
+    "distributions": ("DiscreteDist", "convolve"),
+    "exactdist": ("MomentReport", "dist_statistic", "moments"),
+    "families": ("FamilySpec", "count_family", "enumerate_family", "sample"),
+    "partitions": ("Partition", "PartitionError", "from_parts", "parse_partition"),
 }
+_EXPORTS = {name: module for module, names in _FROM.items() for name in names}
 
 __all__ = sorted(_EXPORTS)
 

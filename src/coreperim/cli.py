@@ -14,6 +14,7 @@ import argparse
 import os
 import sys
 from fractions import Fraction
+from functools import partial
 
 from . import families
 from .exactdist import (
@@ -236,20 +237,17 @@ def cmd_dist(args) -> int:
 
 # --------------------------------------------------------------- distance
 
-def _distance_row(job):
-    from . import gaussref  # only distance reads it; other commands start without it
-
+def _distance_row(rate_table, job):
     family, cap, n, stat = job
-    rows = gaussref.rate_table(family, stat, cap, [n])
-    return n, rows[0]
+    return n, rate_table(family, stat, cap, [n])[0]
 
 
 def cmd_distance(args) -> int:
-    from . import gaussref
+    from . import gaussref  # only distance reads it; other commands start without it
 
     family, cap, ns = _sweep_from(args)
     jobs = [(family, cap, n, args.stat) for n in ns]
-    produced = _run_columns(_distance_row, jobs, args.jobs)
+    produced = _run_columns(partial(_distance_row, gaussref.rate_table), jobs, args.jobs)
     rows = [produced[n] for n in ns]
     _write_out(gaussref.rate_table_csv(rows), args.out)
     return 0
@@ -284,7 +282,7 @@ def cmd_sample(args) -> int:
 # ----------------------------------------------------------------- verify
 
 def _verify_checks(quick: bool, limit: int):
-    from . import codec, polya  # only verify reads polya; other commands start without it
+    from . import codec, polya  # only verify certifies roots; other commands start without polya
 
     def roundtrip(spec: FamilySpec, x) -> bool:
         vec = codec.as_vector(spec, x)

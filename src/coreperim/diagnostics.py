@@ -155,7 +155,7 @@ def concentration_check(family: str, stat, n: int, cap: int, multiples: Sequence
         num, den = thr.numerator, thr.denominator
         bound = num * total * total
         weight = sum(w for v, w in dist.items() if (v * total - s1) ** 2 * den >= bound)
-        tail = Fraction(weight, dist.total)
+        tail = Fraction(weight, total)
         r = float(mult) * sigma
         if tail == 0:
             c = None

@@ -313,22 +313,16 @@ def moment_report(spec: FamilySpec, stat, k_max: int) -> MomentReport:
     return _report(raw, k_max, meta)
 
 
-# `_report` turns power sums into central moments (`central_moments_from_sums`,
-# about k_max^2 / 2 products) and rounds each order (`round_half_away`).  The
-# order-k terms are about k * b bits wide, b = bits(N) + bits(max s), so
-# k_max^3 * b estimates its work in units of roughly 1-2 ns each (measured
-# with CPython 3.11 on x86-64: core length d=3 n=5 at k_max 400 takes about
-# 1 s for 8.3e8 units, 800 about 12 s).  A request estimated past the limit
-# is refused before any fold.
+# `_report` makes about k_max^2 / 2 products of integers up to k_max * b bits,
+# b = bits(N) + bits(max s), then one Fraction and one exact rounding per
+# order, so k_max^3 * b estimates its work: 1-2 ns a unit with CPython 3.11 on
+# x86-64 (core length d=3 n=5 takes about 1 s at k_max 400, 12 s at 800).
 MOMENT_WORK_LIMIT = 2 * 10**9
 
 
 def moment_work(spec: FamilySpec, stat, k_max: int) -> int:
-    """k_max^3 * (bits(N) + bits(max s)): the estimated work of `_report` at k_max.
-
-    The statistic lies in 0..t_top (S = T - C(A, 2) <= T), so the automaton
-    bounds it before any fold.
-    """
+    """The work estimate of `_report` at k_max, before any fold: the statistic
+    lies in 0..t_top (S = T - C(A, 2) <= T), and N is the automaton's path count."""
     states, steps, lanes = _automaton(spec, stat)
     shape = _PmfShape.of(states, _moves(steps, lanes))
     return k_max**3 * (shape.paths.bit_length() + shape.t_top.bit_length())
