@@ -33,8 +33,9 @@ The automaton feeds two folds:
 `power_sums` (and so `moment_report`) takes, per column, whichever of the
 two gives its power sums with the smaller work estimate, read off the
 automaton before either runs (`sums_engine`): small columns are read off
-the pmf, large ones and every selfconj power sum at k_max 8 fold.  Both are
-exact integer folds, so the choice never changes a printed digit.
+the pmf, large ones fold, and so do the selfconj `power:2` and `power:3`
+columns, whose pmfs are wide.  Both are exact integer folds, so the choice
+never changes a printed digit.
 
 All weights stay arbitrary-precision integers; floats appear only when a
 standardized moment is finally printed.

@@ -228,7 +228,7 @@ def test_power_sums_switch_engine_once_across_each_crossover():
         engines = [sums_engine(FamilySpec(family, n, cap), stat, 8) for n in ns]
         switch = engines.count("pmf")
         assert engines == ["pmf"] * switch + ["fold"] * (len(ns) - switch), (family, stat)
-        # selfconj power sums always fold; the other three cross inside their range
+        # selfconj power:2 always folds; the other three cross inside their range
         assert (0 < switch < len(ns)) == (family != "selfconj"), (family, stat, engines)
         spec = FamilySpec(family, ns[switch - 1], cap)
         assert power_sums(spec, stat, 8) == fold_power_sums(spec, stat, 8)
