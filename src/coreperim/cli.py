@@ -147,7 +147,7 @@ def _moment_column(job):
 
 def _check_moment_request(family: str, cap: int, ns: list[int], ks: list[int], stat) -> None:
     """Refuse, before any work, a table with no standardized moments to print
-    or one whose moment reduction is estimated past MOMENT_WORK_LIMIT."""
+    or one whose moment reduction, or pmf pass, is estimated past MOMENT_WORK_LIMIT."""
     if ks[0] < 3:
         raise ValueError(
             f"--k must start at 3 or above (m1 = 0 and m2 = 1 always), got {ks[0]}"
@@ -161,13 +161,14 @@ def _check_moment_request(family: str, cap: int, ns: list[int], ks: list[int], s
             "standardized moments are undefined"
         )
     # the work grows with n, so the last column is the dearest
-    work = moment_work(FamilySpec(family, ns[-1], cap), stat, ks[-1])
-    if work > MOMENT_WORK_LIMIT:
-        raise ValueError(
-            f"--k up to {ks[-1]} at family {family}, stat {stat}, n {ns[-1]}, cap {cap} "
-            f"refused: its moment reduction is estimated at {work} units of work, over "
-            f"MOMENT_WORK_LIMIT = {MOMENT_WORK_LIMIT}"
-        )
+    works = moment_work(FamilySpec(family, ns[-1], cap), stat, ks[-1])
+    for what, work in zip(("its moment reduction is", "the power sums of its pmf are"), works):
+        if work > MOMENT_WORK_LIMIT:
+            raise ValueError(
+                f"--k up to {ks[-1]} at family {family}, stat {stat}, n {ns[-1]}, cap {cap} "
+                f"refused: {what} estimated at {work} units of work, over "
+                f"MOMENT_WORK_LIMIT = {MOMENT_WORK_LIMIT}"
+            )
 
 
 def cmd_moments(args) -> int:

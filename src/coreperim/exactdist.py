@@ -3,23 +3,23 @@
 Each family is a small coordinate automaton (`_automaton`): iid coordinates
 in {0..d} (core), a free/blocked chain where a nonzero entry blocks the next
 (strict), or iid antipodal pairs with the middle coordinate of odd n pinned
-to zero (selfconj).  A coordinate adds a contribution with one entry per
-lane: x for length, hook power runs for the selfconj power sums, and the
-pair (A, V) = (x, n*x^2 + (2i-n+1)*x) for size over core/strict, which is
-read back at the end as S = (V - A^2)/2.
+to zero (selfconj).  A transition holds the values a coordinate may take
+as a Counter of moves (da, t), what a value adds to a and to T.  A one-lane
+statistic is T with a = 0: x for length, hook power runs for the selfconj
+power sums.  Size over core/strict carries a = A and T = (V - A)/2, with
+(A, V) the sums of x and n*x^2 + (2i-n+1)*x; T is a sum of integer terms
+x*(n*x - n + 2i)/2 >= 0, and the size is read back as S = T - C(A, 2).
 
-The automaton feeds two folds:
+A request builds its `_Law` once, and both folds read its moves:
   * `_fold_pmf` (`dist_statistic`, and `conditional_stat` over a one-state
     automaton whose support coordinates take 1..d and the others 0) packs
-    each layer by Kronecker substitution.  Size is carried as (A, T) with
-    T = (V - A)/2, a sum of integer terms x*(n*x - n + 2i)/2 >= 0, and read
-    back as S = T - C(A, 2); the one-lane statistics are T with A = 0.  A
-    layer is one integer per (state, A) whose lane u, L bits wide, holds
-    the weight of the prefix paths whose zero extension has statistic u.
-    A coordinate costs a few shifts and adds of whole integers, and the pmf
-    is read off the last layer's lanes by `decode_lanes`.  L/8 is
-    ceil(bits(N)/8) bytes, padded to 1, 2, 4 or 8 when it is at most 8, so
-    the decode is one `memoryview.cast` of the integer's bytes.
+    each layer by Kronecker substitution.  A layer is one integer per
+    (state, a) whose lane u, L bits wide, holds the weight of the prefix
+    paths whose zero extension has statistic u.  A coordinate costs a few
+    shifts and adds of whole integers, and the pmf is read off the last
+    layer's lanes by `decode_lanes`.  L/8 is ceil(bits(N)/8) bytes, padded
+    to 1, 2, 4 or 8 when it is at most 8, so the decode is one
+    `memoryview.cast` of the integer's bytes.
     No lane carries, by two facts.  Every step offers at least one value
     from every state, so each prefix path extends to a full path, distinct
     prefixes to distinct paths; a lane counts paths of one layer, so it
@@ -28,14 +28,15 @@ The automaton feeds two folds:
     family, so its statistic is >= 0 and a shift to the right drops only
     empty lanes.  The fold's cost is bounded before its first step and
     refused above PMF_BYTE_BUDGET.
-  * `_fold_power_sums` carries exact power sums per state, with no pmf.
+  * `_fold_power_sums` carries exact power sums per state, with no pmf,
+    reading a move as (t,) on one lane and (A, V) = (da, 2t + da) for size.
 
 `power_sums` (and so `moment_report`) takes, per column, whichever of the
-two gives its power sums with the smaller work estimate, read off the
-automaton before either runs (`sums_engine`): small columns are read off
-the pmf, large ones fold, and so do the selfconj `power:2` and `power:3`
-columns, whose pmfs are wide.  Both are exact integer folds, so the choice
-never changes a printed digit.
+two gives its power sums with the smaller work estimate, read off the law
+before either runs (`sums_engine`): small columns are read off the pmf,
+large ones fold, and so do the selfconj `power:2` and `power:3` columns,
+whose pmfs are wide.  Both are exact integer folds, so the choice never
+changes a printed digit.
 
 All weights stay arbitrary-precision integers; floats appear only when a
 standardized moment is finally printed.
@@ -89,50 +90,42 @@ _ATOM_BYTES = 320
 
 def dist_statistic(spec: FamilySpec, stat) -> DiscreteDist:
     """Exact pmf of a statistic over the uniform family: one lane fold."""
-    states, steps, lanes = _automaton(spec, stat)
-    return DiscreteDist(_fold_pmf(states, _moves(steps, lanes), _label(spec, stat), lanes))
-
-
-def _label(spec: FamilySpec, stat) -> str:
-    return f"family {spec.family}, stat {stat}, n {spec.n}, cap {spec.cap}"
+    return DiscreteDist(_Law.of(spec, stat).pmf())
 
 
 def _automaton(spec: FamilySpec, stat):
     """(states, steps, lanes): the family as a coordinate automaton for `stat`.
 
-    `steps` yields, per coordinate, transitions (src, dst, values): every
-    value the coordinate may take from state src into state dst, given as
-    its contribution, a tuple with one entry per lane.  State 0 starts and
-    every state accepts.
+    `steps` holds, per coordinate, transitions (src, dst, moves): every
+    value the coordinate may take from state src into state dst, as a
+    Counter of its (da, t) moves.  State 0 starts and every state accepts.
+    `lanes` is 2 for size over core/strict, whose power-sum fold carries
+    (A, V), and 1 otherwise.
     """
     kind, k = resolve_stat(spec.family, stat)
     n, cap = spec.n, spec.cap
     if kind == "power":
         pairs = range(1, n // 2 + 1)
-        return 1, ([(0, 0, [(v,) for v in _pair_values(n, cap, k, i)])] for i in pairs), 1
+        return 1, [[(0, 0, Counter((0, v) for v in _pair_values(n, cap, k, i)))] for i in pairs], 1
     if kind == "durfee":
         raise ValueError(f"statistic {stat!r} has no engine for family {spec.family!r}")
-    contribution, lanes = _contribution(n, kind)
+    lanes = 2 if kind == "size" else 1
     if spec.family == "core":
-        steps = ([(0, 0, [contribution(i, x) for x in range(cap + 1)])] for i in range(1, n))
-        return 1, steps, lanes
+        return 1, [[(0, 0, _coordinate(n, kind, i, range(cap + 1)))] for i in range(1, n)], lanes
     # strict: state 1 is "blocked", entered by a nonzero entry and left by a zero
-    steps = (
-        [
-            (0, 0, [contribution(i, 0)]),
-            (1, 0, [contribution(i, 0)]),
-            (0, 1, [contribution(i, x) for x in range(1, cap + 1)]),
-        ]
-        for i in range(1, n)
-    )
+    steps = []
+    for i in range(1, n):
+        zero, nonzero = (_coordinate(n, kind, i, xs) for xs in ((0,), range(1, cap + 1)))
+        steps.append([(0, 0, zero), (1, 0, zero), (0, 1, nonzero)])
     return 2, steps, lanes
 
 
-def _contribution(n: int, kind: str):
-    """(contribution(i, x), lanes): what coordinate i = x adds to length or size."""
+def _coordinate(n: int, kind: str, i: int, xs) -> Counter:
+    """The (da, t) moves of coordinate i over the values xs: (0, x) for length,
+    (x, x*(n*x - n + 2i)/2) for size, an integer since n*x*(x-1) is even."""
     if kind == "length":
-        return (lambda i, x: (x,)), 1
-    return (lambda i, x: (x, n * x * x + (2 * i - n + 1) * x)), 2
+        return Counter((0, x) for x in xs)
+    return Counter((x, x * (n * x - n + 2 * i) // 2) for x in xs)
 
 
 def _pair_values(n: int, e: int, k: int, i: int) -> list[int]:
@@ -151,45 +144,18 @@ def _pair_values(n: int, e: int, k: int, i: int) -> list[int]:
     return values
 
 
-def _moves(steps, lanes: int) -> list:
-    """Per coordinate, transitions (src, dst, Counter of (da, t) moves)."""
-    move = _move(lanes)
-    return [
-        [(src, dst, Counter(map(move, values))) for src, dst, values in transitions]
-        for transitions in steps
-    ]
-
-
-def _move(lanes: int):
-    """Contribution -> (da, t), what a coordinate adds to a and to T.
-
-    A one-lane statistic is T itself, t = c, with a = 0.  Size carries
-    a = A and t = (V - A)/2 = x*(n*x - n + 2i)/2, an integer (n*x*(x-1) is
-    even) and >= 0; then S = (V - A^2)/2 = T - C(A, 2).
-    """
-    if lanes == 1:
-        return lambda c: (0, c[0])
-    return lambda c: (c[0], (c[1] - c[0]) // 2)
-
-
-def _fold_pmf(states: int, steps: list, label: str, lanes: int | None = None) -> dict[int, int]:
+def _fold_pmf(law: _Law) -> dict[int, int]:
     """Weights of the statistic T - C(a, 2) over every path (all states accept).
 
-    `steps` holds, per coordinate, transitions (src, dst, moves) with moves a
-    Counter of (da, t) -> multiplicity.  The layer keeps one integer P per
-    (state, a); its lane u, L bits wide, holds the weight of the prefix
-    paths whose zero extension has statistic u = T - C(a, 2).  A move takes
-    a to a + da and u to u + t - a*da - C(da, 2), so it adds m*P shifted by
-    that many lanes to (dst, a + da).  The module docstring proves that no
-    lane carries, so a shift to the right drops only empty lanes.  The lanes
-    of the sum of the last layer are the pmf.  Lane width and budget:
-    `_PmfShape`.
+    A layer keeps one integer P per (state, a), lane u for u = T - C(a, 2).
+    A move (da, t) of multiplicity m takes a to a + da and u to
+    u + t - a*da - C(da, 2), so it adds m*P shifted by that many lanes to
+    (dst, a + da).  The lanes of the sum of the last layer are the pmf.
     """
-    width = _PmfShape.of(states, steps).lane_bytes(label, lanes)
-    bits = 8 * width
-    layer = [{0: 1}] + [{} for _ in range(states - 1)]
-    for transitions in steps:
-        nxt = [{} for _ in range(states)]
+    bits = 8 * law.width
+    layer = [{0: 1}] + [{} for _ in range(law.states - 1)]
+    for transitions in law.steps:
+        nxt = [{} for _ in range(law.states)]
         for src, dst, moves in transitions:
             out = nxt[dst]
             for a, p in layer[src].items():
@@ -200,7 +166,7 @@ def _fold_pmf(states: int, steps: list, label: str, lanes: int | None = None) ->
                         p_m << shift if shift >= 0 else p_m >> -shift
                     )
         layer = nxt
-    weights = decode_lanes(sum(p for atoms in layer for p in atoms.values()), width)
+    weights = decode_lanes(sum(p for atoms in layer for p in atoms.values()), law.width)
     return dict(zip(compress(count(), weights), filter(None, weights)))
 
 
@@ -223,27 +189,33 @@ def decode_lanes(packed: int, width: int) -> list[int]:
 
 
 @dataclass(frozen=True)
-class _PmfShape:
-    """What `_fold_pmf` will hold, read off the automaton before its first step.
+class _Law:
+    """One exact law: `_automaton`'s moves, and what either fold will hold.
 
-    `paths` is N, the path count, from a fold of plain counts.  `width` is
-    L/8, the lane width in bytes: ceil(bits(N)/8) rounded up to 1, 2, 4 or 8
-    when it is at most 8, so that `decode_lanes` casts; the module docstring
-    proves that no lane then carries.  With a_top and t_top the sums over
-    the steps of the largest da and t, a layer holds at most
-    states*(a_top + 1) integers of t_top + 1 lanes (0 <= u <= T), and the
-    pmf at most t_top + 1 atoms.
+    `lanes` is None for a law that has only a pmf.  `paths` is N, from a
+    fold of plain counts; `width` is L/8, ceil(bits(N)/8) bytes rounded up
+    to 1, 2, 4 or 8 when it is at most 8, so that `decode_lanes` casts.
+    With a_top and t_top the sums over the steps of the largest da and t,
+    a layer holds at most states*(a_top + 1) integers of t_top + 1 lanes
+    (0 <= u <= T), and the pmf at most min(t_top + 1, N) atoms.
     """
 
+    label: str
     states: int
-    steps: int
+    steps: list
+    lanes: int | None
     paths: int
     width: int
     a_top: int
     t_top: int
 
     @classmethod
-    def of(cls, states: int, steps: list) -> "_PmfShape":
+    def of(cls, spec: FamilySpec, stat) -> "_Law":
+        label = f"family {spec.family}, stat {stat}, n {spec.n}, cap {spec.cap}"
+        return cls.build(label, *_automaton(spec, stat))
+
+    @classmethod
+    def build(cls, label: str, states: int, steps: list, lanes: int | None) -> "_Law":
         counts = [1] + [0] * (states - 1)
         for transitions in steps:
             nxt = [0] * states
@@ -256,28 +228,52 @@ class _PmfShape:
             width = 1 << (width - 1).bit_length()  # 1, 2, 4 or 8: a cast decode
         a_top = sum(max(da for *_, moves in tr for da, _ in moves) for tr in steps)
         t_top = sum(max(t for *_, moves in tr for _, t in moves) for tr in steps)
-        return cls(states, len(steps), paths, width, a_top, t_top)
+        return cls(label, states, steps, lanes, paths, width, a_top, t_top)
 
     @property
     def need(self) -> int:
         """Bytes of the widest layer's lanes plus the atoms at _ATOM_BYTES each."""
         return (self.t_top + 1) * (self.states * (self.a_top + 1) * self.width + _ATOM_BYTES)
 
-    def lane_bytes(self, label: str, lanes: int | None) -> int:
-        """`width`, once the fold is known to fit PMF_BYTE_BUDGET; else one refusal line.
+    def pmf(self) -> dict[int, int]:
+        """`_fold_pmf`, once it is known to fit PMF_BYTE_BUDGET; else one refusal line.
 
         A statistic of the family (`lanes` given) is told how far `moments`
         reaches it by the power-sum fold, which needs no pmf.
         """
         if self.need > PMF_BYTE_BUDGET:
-            reach = "" if lanes is None else (
-                f"; `moments` reaches its orders up to {_fold_reach(lanes)} without a pmf"
+            reach = "" if self.lanes is None else (
+                f"; `moments` reaches its orders up to {_fold_reach(self.lanes)} without a pmf"
             )
             raise ValueError(
-                f"pmf of {label} refused: it may need {self.need} bytes, over "
+                f"pmf of {self.label} refused: it may need {self.need} bytes, over "
                 f"PMF_BYTE_BUDGET = {PMF_BYTE_BUDGET}{reach}"
             )
-        return self.width
+        return _fold_pmf(self)
+
+    def engine(self, k_max: int) -> str:
+        """"fold" or "pmf": the engine that gives the power sums up to k_max
+        with the smaller work estimate (see FOLD_TERM_NS)."""
+        if k_max > _fold_reach(self.lanes):
+            return "pmf"
+        if self.need > PMF_BYTE_BUDGET:
+            return "fold"
+        terms = _plan_terms(_sum_index(self.lanes, k_max))
+        fold_ns = FOLD_TERM_NS[self.lanes] * terms * sum(map(len, self.steps))
+        layer = (self.a_top + 1) * (self.t_top + 1) * self.width
+        pmf_ns = (LAYER_BYTE_NS[self.lanes] * layer * len(self.steps)
+                  + ATOM_ORDER_NS * (self.t_top + 1) * (k_max + 1))
+        return "pmf" if pmf_ns < fold_ns else "fold"
+
+    def moment_work(self, k_max: int) -> tuple[int, int]:
+        """(reduction, pmf pass) at k_max, with max s <= t_top as S = T - C(A, 2) <= T;
+        the pass is 0 if the sums fold or the pmf is refused on its bytes."""
+        bits_n, bits_t = self.paths.bit_length(), self.t_top.bit_length()
+        reduction = k_max**3 * (bits_n + bits_t)
+        if self.engine(k_max) == "fold" or self.need > PMF_BYTE_BUDGET:
+            return reduction, 0
+        atoms = min(self.t_top + 1, self.paths)
+        return reduction, atoms * (k_max + 1) * (k_max * bits_t + bits_n) // 64
 
 
 @dataclass(frozen=True)
@@ -318,15 +314,17 @@ def moment_report(spec: FamilySpec, stat, k_max: int) -> MomentReport:
 # b = bits(N) + bits(max s), then one Fraction and one exact rounding per
 # order, so k_max^3 * b estimates its work: 1-2 ns a unit with CPython 3.11 on
 # x86-64 (core length d=3 n=5 takes about 1 s at k_max 400, 12 s at 800).
+# Where the pmf gives the sums, its pass makes k_max + 1 products per atom, at
+# most min(t_top + 1, N) atoms, of up to k_max * bits(t_top) + bits(N) bits,
+# so atoms * (k_max + 1) * (k_max * bits(t_top) + bits(N)) / 64 estimates it:
+# 1.4-6 ns a unit, about 4 on selfconj power:3 e=2 at k_max 200, where n=14
+# (9.9e8 units, 3.7 s) answers and n=16 (5.2e9, about 16 s) is refused.
 MOMENT_WORK_LIMIT = 2 * 10**9
 
 
-def moment_work(spec: FamilySpec, stat, k_max: int) -> int:
-    """The work estimate of `_report` at k_max, before any fold: the statistic
-    lies in 0..t_top (S = T - C(A, 2) <= T), and N is the automaton's path count."""
-    states, steps, lanes = _automaton(spec, stat)
-    shape = _PmfShape.of(states, _moves(steps, lanes))
-    return k_max**3 * (shape.paths.bit_length() + shape.t_top.bit_length())
+def moment_work(spec: FamilySpec, stat, k_max: int) -> tuple[int, int]:
+    """(reduction, pmf pass): the work estimates of `moment_report` at k_max, before any fold."""
+    return _Law.of(spec, stat).moment_work(k_max)
 
 
 def _report(raw: list[int], k_max: int, meta: dict) -> MomentReport:
@@ -391,55 +389,20 @@ def power_sums(spec: FamilySpec, stat, k_max: int) -> list[int]:
     (`_fold_sums`) and the pmf's own sums.  `sums_engine` picks the one
     with the smaller work estimate, before either runs.
     """
-    column = _SumsColumn.of(spec, stat, k_max)
-    if column.engine == "pmf":
-        pmf = _fold_pmf(column.states, column.moves, _label(spec, stat), column.lanes)
-        return DiscreteDist(pmf).power_sums(k_max)
-    return _fold_sums(column)
+    law = _Law.of(spec, stat)
+    if law.engine(k_max) == "pmf":
+        return DiscreteDist(law.pmf()).power_sums(k_max)
+    return _fold_sums(law, k_max)
 
 
 def sums_engine(spec: FamilySpec, stat, k_max: int) -> str:
     """"fold" or "pmf": the engine `power_sums(spec, stat, k_max)` takes."""
-    return _SumsColumn.of(spec, stat, k_max).engine
+    return _Law.of(spec, stat).engine(k_max)
 
 
 def fold_power_sums(spec: FamilySpec, stat, k_max: int) -> list[int]:
     """`power_sums` by the fold alone, whatever its cost: an independent check of the pmf."""
-    return _fold_sums(_SumsColumn.of(spec, stat, k_max))
-
-
-@dataclass(frozen=True)
-class _SumsColumn:
-    """One `power_sums` request: its automaton, its fold index and its pmf shape."""
-
-    states: int
-    steps: list
-    lanes: int
-    moves: list
-    index: list[tuple[int, ...]]
-    k_max: int
-
-    @classmethod
-    def of(cls, spec: FamilySpec, stat, k_max: int) -> "_SumsColumn":
-        states, steps, lanes = _automaton(spec, stat)
-        steps = list(steps)
-        return cls(states, steps, lanes, _moves(steps, lanes), _sum_index(lanes, k_max), k_max)
-
-    @property
-    def engine(self) -> str:
-        terms = _plan_terms(self.index)
-        if terms > FOLD_PLAN_LIMIT:
-            return "pmf"
-        shape = _PmfShape.of(self.states, self.moves)
-        if shape.need > PMF_BYTE_BUDGET:
-            return "fold"
-        fold_ns = FOLD_TERM_NS[self.lanes] * terms * sum(map(len, self.steps))
-        layer = (shape.a_top + 1) * (shape.t_top + 1) * shape.width
-        pmf_ns = (
-            LAYER_BYTE_NS[self.lanes] * layer * shape.steps
-            + ATOM_ORDER_NS * (shape.t_top + 1) * (self.k_max + 1)
-        )
-        return "pmf" if pmf_ns < fold_ns else "fold"
+    return _fold_sums(_Law.of(spec, stat), k_max)
 
 
 def _sum_index(lanes: int, k_max: int) -> list[tuple[int, ...]]:
@@ -453,6 +416,7 @@ def _plan_terms(index: list[tuple[int, ...]]) -> int:
     return sum(prod(a + 1 for a in e) for e in index)
 
 
+@lru_cache(maxsize=None)
 def _fold_reach(lanes: int) -> int:
     """The largest k_max whose fold plan fits FOLD_PLAN_LIMIT: 198 for one lane, 16 for size."""
     k = 0
@@ -461,45 +425,51 @@ def _fold_reach(lanes: int) -> int:
     return k
 
 
-def _fold_sums(column: _SumsColumn) -> list[int]:
+def _fold_sums(law: _Law, k_max: int) -> list[int]:
     """Power sums by the fold.  Length and the selfconj power sums carry one lane.
 
     Size over core/strict carries (A, V) and sums A^p V^q for p + 2q <= 2*k_max;
     then S = (V - A^2)/2 gives sum S^j = 2^-j sum_m C(j,m) (-1)^m sum A^2m V^(j-m).
     """
-    sums = _fold_power_sums(column.states, column.steps, column.index)
-    if column.lanes == 1:
+    index = _sum_index(law.lanes, k_max)
+    sums = _fold_power_sums(law, index)
+    if law.lanes == 1:
         return sums
-    mixed = dict(zip(column.index, sums))
+    mixed = dict(zip(index, sums))
     out = []
-    for j in range(column.k_max + 1):
+    for j in range(k_max + 1):
         scaled = sum((-1) ** m * comb(j, m) * mixed[(2 * m, j - m)] for m in range(j + 1))
         assert scaled % 2**j == 0
         out.append(scaled // 2**j)
     return out
 
 
-def _fold_power_sums(states: int, steps, index: list[tuple[int, ...]]) -> list[int]:
+def _fold_power_sums(law: _Law, index: list[tuple[int, ...]]) -> list[int]:
     """Mixed power sums, in `index` order, over every path (all states accept).
 
-    `steps` yields, per coordinate, transitions (src, dst, contributions).
-    A transition whose one value is the zero contribution leaves the sums
-    as they are and is skipped.
+    A move (da, t) is the contribution (t,) on one lane and
+    (A, V) = (da, 2t + da) for size, taken with its multiplicity.  A
+    transition whose one move is (0, 0), once, leaves the sums as they are
+    and is skipped.
     """
     plan = _plan(tuple(index))
-    tops = [max(e[t] for e in index) for t in range(len(index[0]))]
+    tops = [max(e[j] for e in index) for j in range(law.lanes)]
     unit = [int(not any(e)) for e in index]
     zero = [0] * len(index)
-    layer = [unit] + [zero] * (states - 1)
-    for transitions in steps:
-        nxt = [zero] * states
-        for src, dst, values in transitions:
+    layer = [unit] + [zero] * (law.states - 1)
+    as_lanes = (lambda da, t: (t,)) if law.lanes == 1 else (lambda da, t: (da, 2 * t + da))
+    for transitions in law.steps:
+        nxt = [zero] * law.states
+        for src, dst, moves in transitions:
             sums = layer[src]
-            if len(values) != 1 or any(values[0]):
-                # U[e] = sum over values c of prod_t c_t^e_t, from per-lane power tables
-                tables = [[[c**g for g in range(top + 1)] for c, top in zip(v, tops)]
-                          for v in values]
-                factor = [sum(prod(map(getitem, table, e)) for table in tables) for e in index]
+            if list(moves.items()) != [((0, 0), 1)]:
+                # U[e] = sum over moves of m * prod_j c_j^e_j, from per-lane power tables
+                tables = [
+                    (m, [[c**g for g in range(top + 1)] for c, top in zip(as_lanes(*mv), tops)])
+                    for mv, m in moves.items()
+                ]
+                factor = [sum(m * prod(map(getitem, table, e)) for m, table in tables)
+                          for e in index]
                 sums = [sum(c * sums[f] * factor[g] for c, f, g in terms) for terms in plan]
             nxt[dst] = [a + b for a, b in zip(nxt[dst], sums)]
         layer = nxt
@@ -560,13 +530,10 @@ def conditional_stat(spec: FamilySpec, stat, support) -> ConditionalStat:
     n, d = spec.n, spec.cap
     if t and d == 0:
         raise ValueError(f"support {t} needs cap >= 1, got cap 0")
-    contribution, lanes = _contribution(n, kind)
-    steps = (
-        [(0, 0, [contribution(i, x) for x in (range(1, d + 1) if i in t else (0,))])]
-        for i in range(1, n)
-    )
-    label = f"strict {stat} on support {t}, n {n}, cap {d}"
-    dist = DiscreteDist(_fold_pmf(1, _moves(steps, lanes), label))
+    steps = [[(0, 0, _coordinate(n, kind, i, range(1, d + 1) if i in t else (0,)))]
+             for i in range(1, n)]
+    law = _Law.build(f"strict {stat} on support {t}, n {n}, cap {d}", 1, steps, None)
+    dist = DiscreteDist(law.pmf())
     if kind == "length":
         closed_mean, closed_var = _closed_forms_length(d, t)
     else:

@@ -226,6 +226,10 @@ PMF_REFUSED = ["moments", "--family", "selfconj", "--stat", "power:3", "--e", "2
 # orders whose moment reduction is estimated past MOMENT_WORK_LIMIT
 K_REFUSED = ["moments", "--family", "core", "--stat", "length", "--d", "3", "--n", "5",
              "--k", "3..3000"]
+# past the fold's reach, a pmf within its byte budget whose power-sum pass is
+# estimated past MOMENT_WORK_LIMIT (about 16 s if run); n=12 answers in about 1 s
+PASS_REFUSED = ["moments", "--family", "selfconj", "--stat", "power:3", "--e", "2",
+                "--n", "16", "--k", "3..200"]
 
 
 def test_moments_past_the_fold_reach_refuses_the_pmf_in_one_true_line(capsys):
@@ -248,6 +252,20 @@ def test_moment_orders_are_bounded_before_any_fold(capsys):
     )
     code, out, _ = run(capsys, *K_REFUSED[:-1], "3..400")
     assert code == 0 and len(out.splitlines()) == 399
+
+
+def test_the_pmf_pass_past_the_fold_reach_is_bounded(capsys):
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, *PASS_REFUSED)
+    assert time.perf_counter() - t0 < 1.0
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: --k up to 200 at family selfconj, stat power:3, n 16, cap 2 refused: the power "
+        "sums of its pmf are estimated at 5175897216 units of work, over "
+        f"MOMENT_WORK_LIMIT = {MOMENT_WORK_LIMIT}\n"
+    )
+    code, out, _ = run(capsys, *PASS_REFUSED[:-3], "12", "--k", "3..200")
+    assert code == 0 and len(out.splitlines()) == 199
 
 
 # coreperim modules a command does not run, absent after it ran in a fresh interpreter
@@ -563,9 +581,9 @@ FLAGS = {
 @st.composite
 def cli_calls(draw):
     """(argv, config text or None) over every subcommand, small sizes only,
-    now and then one of the two cost refusals of `moments`."""
+    now and then one of the three cost refusals of `moments`."""
     if draw(_mostly([False], [True])):
-        return draw(st.sampled_from([PMF_REFUSED, K_REFUSED])), None
+        return draw(st.sampled_from([PMF_REFUSED, K_REFUSED, PASS_REFUSED])), None
     command = draw(_mostly(sorted(FLAGS), ["bogus"]))
     argv = [command]
     keys = list(FLAGS.get(command, ()))

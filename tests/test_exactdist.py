@@ -259,6 +259,39 @@ def test_table_columns_take_the_pinned_engine():
     assert {"p", "f"} <= set("".join(row[-1] for row in TABLE_ENGINES))
 
 
+# sha256 of the reprs of (family, stat, cap, n, fold_power_sums(spec, stat, 8))
+# over TABLE_ENGINES then CROSSOVER_GRIDS, generated while the fold read
+# contribution tuples of its own, apart from the pmf's moves
+FOLD_SUMS_SHA256 = "cc967fcc6185424af2c5b7b372d5f7cd3484f2a0ef8e2c35d86da7634ce1d53e"
+# the four sweeps of the benchmark's `distance` workload
+DISTANCE_SWEEPS = [
+    ("core", "size", 3, range(20, 24)),
+    ("strict", "size", 2, range(40, 45)),
+    ("selfconj", "power:2", 2, range(16, 20)),
+    ("strict", "length", 1, range(10, 61)),
+]
+# sha256 of the reprs of (family, stat, cap, n, list(pmf.items())) over
+# DISTANCE_SWEEPS, generated at the same commit
+DISTANCE_PMF_SHA256 = "fd7ff6a5bbee8b6b83ffa86fb233998f56c7cc9eb0341b33154a01f1d720c3e9"
+
+
+def test_large_n_integers_are_pinned():
+    # both engines read the automaton's moves, and enumeration stops at n <= 8,
+    # so a fault shared by both would pass every cross-check but these pins
+    digest = hashlib.sha256()
+    for family, stat, cap, ns, *_ in TABLE_ENGINES + CROSSOVER_GRIDS:
+        for n in ns:
+            sums = fold_power_sums(FamilySpec(family, n, cap), stat, 8)
+            digest.update(repr((family, stat, cap, n, sums)).encode())
+    assert digest.hexdigest() == FOLD_SUMS_SHA256
+    digest = hashlib.sha256()
+    for family, stat, cap, ns in DISTANCE_SWEEPS:
+        for n in ns:
+            pmf = list(dist_statistic(FamilySpec(family, n, cap), stat).items())
+            digest.update(repr((family, stat, cap, n, pmf)).encode())
+    assert digest.hexdigest() == DISTANCE_PMF_SHA256
+
+
 def test_the_pmf_is_never_chosen_past_its_byte_budget(monkeypatch):
     # core size d=3 n=10 reads off the pmf, until the budget would refuse it
     spec = FamilySpec("core", 10, 3)
@@ -392,8 +425,7 @@ def test_lane_widths_are_padded_for_the_cast():
     # core length d=1, n=8w: N = 2^(8w-1) paths, exactly w bytes before padding
     for raw, padded in zip(range(1, 10), (1, 2, 4, 4, 8, 8, 8, 8, 9)):
         spec = FamilySpec("core", 8 * raw, 1)
-        states, steps, lanes = exactdist._automaton(spec, "length")
-        assert exactdist._PmfShape.of(states, exactdist._moves(steps, lanes)).width == padded
+        assert exactdist._Law.of(spec, "length").width == padded
         assert dist_statistic(spec, "length").atoms == {
             k: comb(8 * raw - 1, k) for k in range(8 * raw)
         }
