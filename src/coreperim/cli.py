@@ -18,17 +18,16 @@ from functools import partial
 
 from . import families
 from .exactdist import (
-    MOMENT_WORK_LIMIT,
+    RANGE_LIMIT,
     dist_statistic,
     mixture_identity_check,
     moment_report,
-    moment_work,
+    refuse_moments,
+    refuse_wide,
 )
 from .families import ENUMERATION_LIMIT, FamilySpec
 
 DIFF_TOLERANCE = 0.001 + 1e-9
-# --n and --k ranges wider than this are refused before their list is built
-RANGE_LIMIT = 10_000
 
 
 class _UsageError(Exception):
@@ -147,7 +146,7 @@ def _moment_column(job):
 
 def _check_moment_request(family: str, cap: int, ns: list[int], ks: list[int], stat) -> None:
     """Refuse, before any work, a table with no standardized moments to print
-    or one whose moment reduction, or pmf pass, is estimated past MOMENT_WORK_LIMIT."""
+    or one whose last, dearest column `refuse_moments` refuses."""
     if ks[0] < 3:
         raise ValueError(
             f"--k must start at 3 or above (m1 = 0 and m2 = 1 always), got {ks[0]}"
@@ -160,15 +159,7 @@ def _check_moment_request(family: str, cap: int, ns: list[int], ks: list[int], s
             f"zero variance at family {family}, stat {stat}, n {ns[0]}, cap 0: "
             "standardized moments are undefined"
         )
-    # the work grows with n, so the last column is the dearest
-    works = moment_work(FamilySpec(family, ns[-1], cap), stat, ks[-1])
-    for what, work in zip(("its moment reduction is", "the power sums of its pmf are"), works):
-        if work > MOMENT_WORK_LIMIT:
-            raise ValueError(
-                f"--k up to {ks[-1]} at family {family}, stat {stat}, n {ns[-1]}, cap {cap} "
-                f"refused: {what} estimated at {work} units of work, over "
-                f"MOMENT_WORK_LIMIT = {MOMENT_WORK_LIMIT}"
-            )
+    refuse_moments(FamilySpec(family, ns[-1], cap), stat, ks[-1])
 
 
 def cmd_moments(args) -> int:
@@ -264,6 +255,7 @@ def cmd_sample(args) -> int:
         raise ValueError("--seed is required")
     decode = None
     if args.decode:
+        refuse_wide(spec, f"--decode at family {spec.family}, n {spec.n}, cap {spec.cap}")
         decode = codec.decode_selfconj if spec.family == "selfconj" else codec.decode_core
     as_vector = codec.as_vector
 

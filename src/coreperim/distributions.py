@@ -78,10 +78,10 @@ class DiscreteDist:
         """[sum w*v^0 .. sum w*v^k_max], pure-integer accumulations."""
         raw = [0] * (k_max + 1)
         for v, w in self._atoms.items():
-            term = w
-            for k in range(k_max + 1):
-                raw[k] += term
-                term *= v
+            raw[0] += w
+            for k in range(1, k_max + 1):
+                w *= v
+                raw[k] += w
         return raw
 
     def central_moments(self, k_max: int) -> list[Fraction]:

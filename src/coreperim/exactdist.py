@@ -69,7 +69,7 @@ __all__ = [
     "dist_statistic",
     "moments",
     "moment_report",
-    "moment_work",
+    "refuse_moments",
     "MOMENT_WORK_LIMIT",
     "power_sums",
     "fold_power_sums",
@@ -86,6 +86,18 @@ __all__ = [
 # measured at 3- to 12-byte weights).
 PMF_BYTE_BUDGET = 1280 << 20
 _ATOM_BYTES = 320
+# --n and --k spans wider than this are refused before their list is built,
+# and so are a law's n and the values {0..cap} of its coordinates (`refuse_wide`)
+RANGE_LIMIT = 10_000
+
+
+def refuse_wide(spec: FamilySpec, what: str) -> None:
+    """Refuse `what` before it builds a table per coordinate value of `spec` (an
+    automaton of about n*(cap + 1) moves, a decoded beta set of up to n*cap
+    entries) if n or cap + 1, ranges like --n's, is over RANGE_LIMIT."""
+    if max(spec.n, spec.cap + 1) > RANGE_LIMIT:
+        raise ValueError(f"{what} refused: n and cap + 1 may each be at most "
+                         f"RANGE_LIMIT = {RANGE_LIMIT}")
 
 
 def dist_statistic(spec: FamilySpec, stat) -> DiscreteDist:
@@ -188,7 +200,6 @@ def decode_lanes(packed: int, width: int) -> list[int]:
     return [int.from_bytes(raw[j : j + width], "little") for j in range(0, size, width)]
 
 
-@dataclass(frozen=True)
 class _Law:
     """One exact law: `_automaton`'s moves, and what either fold will hold.
 
@@ -200,35 +211,25 @@ class _Law:
     (0 <= u <= T), and the pmf at most min(t_top + 1, N) atoms.
     """
 
-    label: str
-    states: int
-    steps: list
-    lanes: int | None
-    paths: int
-    width: int
-    a_top: int
-    t_top: int
-
-    @classmethod
-    def of(cls, spec: FamilySpec, stat) -> "_Law":
-        label = f"family {spec.family}, stat {stat}, n {spec.n}, cap {spec.cap}"
-        return cls.build(label, *_automaton(spec, stat))
-
-    @classmethod
-    def build(cls, label: str, states: int, steps: list, lanes: int | None) -> "_Law":
+    def __init__(self, label: str, states: int, steps: list, lanes: int | None):
+        self.label, self.states, self.steps, self.lanes = label, states, steps, lanes
         counts = [1] + [0] * (states - 1)
         for transitions in steps:
             nxt = [0] * states
             for src, dst, moves in transitions:
                 nxt[dst] += counts[src] * moves.total()
             counts = nxt
-        paths = sum(counts)
-        width = -(-paths.bit_length() // 8)
-        if width <= 8:
-            width = 1 << (width - 1).bit_length()  # 1, 2, 4 or 8: a cast decode
-        a_top = sum(max(da for *_, moves in tr for da, _ in moves) for tr in steps)
-        t_top = sum(max(t for *_, moves in tr for _, t in moves) for tr in steps)
-        return cls(label, states, steps, lanes, paths, width, a_top, t_top)
+        self.paths = sum(counts)
+        width = -(-self.paths.bit_length() // 8)
+        self.width = width if width > 8 else 1 << (width - 1).bit_length()  # a cast decode
+        self.a_top = sum(max(da for *_, moves in tr for da, _ in moves) for tr in steps)
+        self.t_top = sum(max(t for *_, moves in tr for _, t in moves) for tr in steps)
+
+    @classmethod
+    def of(cls, spec: FamilySpec, stat) -> "_Law":
+        label = f"family {spec.family}, stat {stat}, n {spec.n}, cap {spec.cap}"
+        refuse_wide(spec, label)
+        return cls(label, *_automaton(spec, stat))
 
     @property
     def need(self) -> int:
@@ -265,15 +266,36 @@ class _Law:
                   + ATOM_ORDER_NS * (self.t_top + 1) * (k_max + 1))
         return "pmf" if pmf_ns < fold_ns else "fold"
 
-    def moment_work(self, k_max: int) -> tuple[int, int]:
-        """(reduction, pmf pass) at k_max, with max s <= t_top as S = T - C(A, 2) <= T;
-        the pass is 0 if the sums fold or the pmf is refused on its bytes."""
-        bits_n, bits_t = self.paths.bit_length(), self.t_top.bit_length()
-        reduction = k_max**3 * (bits_n + bits_t)
-        if self.engine(k_max) == "fold" or self.need > PMF_BYTE_BUDGET:
-            return reduction, 0
-        atoms = min(self.t_top + 1, self.paths)
-        return reduction, atoms * (k_max + 1) * (k_max * bits_t + bits_n) // 64
+    def refuse_moments(self, k_max: int) -> None:
+        """Refuse `moment_report` up to k_max, before any fold, if its moment reduction
+        or the pmf pass that gives its sums is estimated past MOMENT_WORK_LIMIT."""
+        bits_n, bits_t = self.paths.bit_length(), self.t_top.bit_length()  # max s <= t_top
+        what, work = "its moment reduction is", k_max**3 * (bits_n + bits_t)
+        if work <= MOMENT_WORK_LIMIT and self.engine(k_max) == "pmf" and self.need <= PMF_BYTE_BUDGET:
+            what, work = "the power sums of its pmf are", (
+                min(self.t_top + 1, self.paths) * (k_max + 1) * (k_max * bits_t + bits_n) // 64)
+        if work > MOMENT_WORK_LIMIT:
+            raise ValueError(f"--k up to {k_max} at {self.label} refused: {what} estimated at "
+                             f"{work} units of work, over MOMENT_WORK_LIMIT = {MOMENT_WORK_LIMIT}")
+
+
+# `_report` makes about k_max^2 / 2 products of integers up to k_max * b bits,
+# b = bits(N) + bits(max s), then one Fraction and one exact rounding per
+# order, so k_max^3 * b estimates its work.  With CPython 3.11 on x86-64 a
+# unit took 1.3-4.4 ns, more with more bits per unit, so a request just under
+# the limit runs 2.7-8.7 s: core length d=3 at n=5 (k_max 535, b 13) takes
+# 2.7 s, at n=200 (169, 409) 3.3 s; strict length d=2 n=100 (264, 108) 8.7 s.
+# Where the pmf gives the sums, its pass makes k_max products per atom, at
+# most min(t_top + 1, N) atoms, of up to k_max * bits(t_top) + bits(N) bits,
+# so atoms * (k_max + 1) * (k_max * bits(t_top) + bits(N)) / 64 estimates it:
+# 1.4-6 ns a unit, about 4 on selfconj power:3 e=2 at k_max 200, where n=14
+# (9.9e8 units, 3.7 s) answers and n=16 (5.2e9, about 16 s) is refused.
+MOMENT_WORK_LIMIT = 2 * 10**9
+
+
+def refuse_moments(spec: FamilySpec, stat, k_max: int) -> None:
+    """`_Law.refuse_moments`: refuse `moment_report(spec, stat, k_max)` before any fold."""
+    _Law.of(spec, stat).refuse_moments(k_max)
 
 
 @dataclass(frozen=True)
@@ -308,23 +330,6 @@ def moment_report(spec: FamilySpec, stat, k_max: int) -> MomentReport:
     raw = power_sums(spec, stat, max(k_max, 2))
     meta = {"family": spec.family, "stat": stat_name(stat), "n": spec.n, "cap": spec.cap}
     return _report(raw, k_max, meta)
-
-
-# `_report` makes about k_max^2 / 2 products of integers up to k_max * b bits,
-# b = bits(N) + bits(max s), then one Fraction and one exact rounding per
-# order, so k_max^3 * b estimates its work: 1-2 ns a unit with CPython 3.11 on
-# x86-64 (core length d=3 n=5 takes about 1 s at k_max 400, 12 s at 800).
-# Where the pmf gives the sums, its pass makes k_max + 1 products per atom, at
-# most min(t_top + 1, N) atoms, of up to k_max * bits(t_top) + bits(N) bits,
-# so atoms * (k_max + 1) * (k_max * bits(t_top) + bits(N)) / 64 estimates it:
-# 1.4-6 ns a unit, about 4 on selfconj power:3 e=2 at k_max 200, where n=14
-# (9.9e8 units, 3.7 s) answers and n=16 (5.2e9, about 16 s) is refused.
-MOMENT_WORK_LIMIT = 2 * 10**9
-
-
-def moment_work(spec: FamilySpec, stat, k_max: int) -> tuple[int, int]:
-    """(reduction, pmf pass): the work estimates of `moment_report` at k_max, before any fold."""
-    return _Law.of(spec, stat).moment_work(k_max)
 
 
 def _report(raw: list[int], k_max: int, meta: dict) -> MomentReport:
@@ -532,7 +537,7 @@ def conditional_stat(spec: FamilySpec, stat, support) -> ConditionalStat:
         raise ValueError(f"support {t} needs cap >= 1, got cap 0")
     steps = [[(0, 0, _coordinate(n, kind, i, range(1, d + 1) if i in t else (0,)))]
              for i in range(1, n)]
-    law = _Law.build(f"strict {stat} on support {t}, n {n}, cap {d}", 1, steps, None)
+    law = _Law(f"strict {stat} on support {t}, n {n}, cap {d}", 1, steps, None)
     dist = DiscreteDist(law.pmf())
     if kind == "length":
         closed_mean, closed_var = _closed_forms_length(d, t)

@@ -12,13 +12,13 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 import coreperim
 from coreperim.cli import (
     DIFF_TOLERANCE,
-    MOMENT_WORK_LIMIT,
     RANGE_LIMIT,
     _resolve_flags,
     build_parser,
     main,
     parse_range,
 )
+from coreperim.exactdist import MOMENT_WORK_LIMIT
 from coreperim.gaussref import RATE_CSV_HEADER
 
 
@@ -266,6 +266,48 @@ def test_the_pmf_pass_past_the_fold_reach_is_bounded(capsys):
     )
     code, out, _ = run(capsys, *PASS_REFUSED[:-3], "12", "--k", "3..200")
     assert code == 0 and len(out.splitlines()) == 199
+
+
+# requests whose automaton, or decoded beta sets, would be too wide to build in
+# time: refused from (family, n, cap) before anything is built.  At the
+# estimates' introduction the first ran 6.75 s before its pmf was refused, the
+# second and third ran past 60 s, and the fourth ended in a MemoryError
+WIDE_REFUSED = {
+    "dist-n": ["dist", "--family", "core", "--stat", "size", "--d", "3", "--n", "200000"],
+    "dist-cap": ["dist", "--family", "core", "--stat", "length", "--d", "100000", "--n", "5"],
+    "moments-n": ["moments", "--family", "core", "--stat", "length", "--d", "3", "--n", "200000",
+                  "--k", "3..8"],
+    "decode-cap": ["sample", "--family", "core", "--d", "1000000000", "--n", "5", "--seed", "1",
+                   "--count", "1", "--decode"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(WIDE_REFUSED))
+def test_a_wide_request_is_refused_before_it_is_built(capsys, name):
+    tracemalloc.start()
+    t0 = time.perf_counter()
+    try:
+        code, out, err = run(capsys, *WIDE_REFUSED[name])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - t0 < 1.0
+    assert (code, out) == (1, "")
+    (line,) = err.splitlines()
+    assert line.startswith("error: ")
+    assert line.endswith(f"refused: n and cap + 1 may each be at most RANGE_LIMIT = {RANGE_LIMIT}")
+    assert peak < 1 << 20
+
+
+def test_wide_refusals_leave_what_answers(capsys):
+    # plain sampling builds nothing per value, so any cap draws
+    code, out, _ = run(capsys, *WIDE_REFUSED["decode-cap"][:-1])
+    assert code == 0 and json.loads(out)["x"] == [151149761, 630123623, 993154398, 776128779]
+    assert run(capsys, "sample", "--family", "core", "--d", "9999", "--n", "5", "--seed", "1",
+               "--decode")[0] == 0
+    # the dearest column under RANGE_LIMIT still answers (about 2 s)
+    code, out, err = run(capsys, *WIDE_REFUSED["moments-n"][:-3], "10000", "--k", "3..8")
+    assert (code, err) == (0, "") and out.splitlines()[0] == "k,10000"
 
 
 # coreperim modules a command does not run, absent after it ran in a fresh interpreter
@@ -617,6 +659,10 @@ def cli_calls(draw):
 @given(cli_calls())
 @example(call=(PMF_REFUSED, None))
 @example(call=(K_REFUSED, None))
+@example(call=(WIDE_REFUSED["dist-n"], None))
+@example(call=(WIDE_REFUSED["dist-cap"], None))
+@example(call=(WIDE_REFUSED["moments-n"], None))
+@example(call=(WIDE_REFUSED["decode-cap"], None))
 def test_cli_contract_fuzz(tmp_path, capsys, call):
     argv, config = call
     argv = [a.replace("@tmp", str(tmp_path)) for a in argv]

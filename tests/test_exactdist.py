@@ -22,6 +22,7 @@ from coreperim.exactdist import (
     moment_report,
     moments,
     power_sums,
+    refuse_wide,
     sums_engine,
 )
 from coreperim.families import FamilySpec, count_family, enumerate_family, oracle_distribution
@@ -429,3 +430,13 @@ def test_lane_widths_are_padded_for_the_cast():
         assert dist_statistic(spec, "length").atoms == {
             k: comb(8 * raw - 1, k) for k in range(8 * raw)
         }
+
+
+def test_refuse_wide_boundaries():
+    # n and cap + 1 are ranges like --n's, each checked before anything is built
+    limit = exactdist.RANGE_LIMIT
+    for n, cap in ((limit, 3), (5, limit - 1), (limit, limit - 1)):
+        refuse_wide(FamilySpec("core", n, cap), "law")
+    for n, cap in ((limit + 1, 3), (5, limit), (2, 10**18)):
+        with pytest.raises(ValueError, match=f"^law refused: .* at most RANGE_LIMIT = {limit}$"):
+            refuse_wide(FamilySpec("strict", n, cap), "law")
