@@ -10,7 +10,7 @@ to x in {0..e}^n with x_i * x_{n+1-i} = 0.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .families import FamilySpec, resolve_stat
 from .partitions import (
@@ -41,48 +41,42 @@ class NotSelfConjugateError(CodecError):
     """Input partition is not equal to its conjugate."""
 
 
-@dataclass(frozen=True)
-class CoreVector:
-    n: int
-    d: int
-    x: tuple[int, ...]
+class CoreVector(namedtuple("CoreVector", "n d x")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n < 2:
+    def __new__(cls, n: int, d: int, x: tuple[int, ...]):
+        if n < 2:
             raise ValueError("modulus n must be at least 2")
-        if self.d < 0:
+        if d < 0:
             raise ValueError("capacity d must be non-negative")
-        if len(self.x) != self.n - 1:
-            raise ValueError(f"vector must have length {self.n - 1}, got {len(self.x)}")
-        if min(self.x) < 0 or max(self.x) > self.d:
-            raise ValueError(f"entries must lie in [0, {self.d}]")
+        if len(x) != n - 1:
+            raise ValueError(f"vector must have length {n - 1}, got {len(x)}")
+        if min(x) < 0 or max(x) > d:
+            raise ValueError(f"entries must lie in [0, {d}]")
+        return super().__new__(cls, n, d, x)
 
     @property
     def is_strict(self) -> bool:
         return all(a * b == 0 for a, b in zip(self.x, self.x[1:]))
 
 
-@dataclass(frozen=True)
-class DiagVector:
-    n: int
-    e: int
-    x: tuple[int, ...]
+class DiagVector(namedtuple("DiagVector", "n e x")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n < 2:
+    def __new__(cls, n: int, e: int, x: tuple[int, ...]):
+        if n < 2:
             raise ValueError("modulus n must be at least 2")
-        if self.e < 0:
+        if e < 0:
             raise ValueError("capacity e must be non-negative")
-        if len(self.x) != self.n:
-            raise ValueError(f"vector must have length {self.n}, got {len(self.x)}")
-        if min(self.x) < 0 or max(self.x) > self.e:
-            raise ValueError(f"entries must lie in [0, {self.e}]")
+        if len(x) != n:
+            raise ValueError(f"vector must have length {n}, got {len(x)}")
+        if min(x) < 0 or max(x) > e:
+            raise ValueError(f"entries must lie in [0, {e}]")
         # a bad pair shows first at its left index, so half the vector suffices
-        for i in range((self.n + 1) // 2):
-            if self.x[i] * self.x[self.n - 1 - i] != 0:
-                raise ValueError(
-                    f"entries {i + 1} and {self.n - i} may not both be nonzero"
-                )
+        for i in range((n + 1) // 2):
+            if x[i] * x[n - 1 - i] != 0:
+                raise ValueError(f"entries {i + 1} and {n - i} may not both be nonzero")
+        return super().__new__(cls, n, e, x)
 
 
 def encode_core(p: Partition, n: int, d: int) -> CoreVector:

@@ -7,7 +7,7 @@ are logs, square roots, and the reported quotients.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, is_dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import comb
 from typing import Iterable, Sequence
@@ -18,9 +18,9 @@ from .families import FamilySpec, resolve_stat, stat_name
 
 
 def _to_json(value):
-    """JSON-ready data: dataclass fields as a dict, Fractions as exact strings, tuples as lists."""
-    if is_dataclass(value):
-        return {f.name: _to_json(getattr(value, f.name)) for f in fields(value)}
+    """JSON-ready data: a record's fields as a dict, Fractions as exact strings, tuples as lists."""
+    if hasattr(value, "_fields"):
+        return {name: _to_json(getattr(value, name)) for name in value._fields}
     if isinstance(value, Fraction):
         return str(value)
     if isinstance(value, tuple):
@@ -28,8 +28,9 @@ def _to_json(value):
     return value
 
 
-@dataclass(frozen=True)
-class ConditionReport:
+class ConditionReport(namedtuple("ConditionReport", (
+        "n d pair_coupling arithmetic_exact zero_at_origin var_x inf_var_g sup_g_sq "
+        "near_independence_ratio boundedness_ratio nondegeneracy_max"))):
     """Exact evaluation of the four sum-plus-pairs normality conditions.
 
     Ratios are None when the infimum variance vanishes; that happens at
@@ -38,17 +39,7 @@ class ConditionReport:
     (correlation exactly 1 at d = 2) is visible as Fraction(1).
     """
 
-    n: int
-    d: int
-    pair_coupling: int
-    arithmetic_exact: bool
-    zero_at_origin: bool
-    var_x: Fraction
-    inf_var_g: Fraction
-    sup_g_sq: Fraction
-    near_independence_ratio: float | None
-    boundedness_ratio: float | None
-    nondegeneracy_max: Fraction | None
+    __slots__ = ()
 
     def to_json(self) -> dict:
         return _to_json(self)
@@ -90,31 +81,18 @@ def check_size_conditions(n: int, d: int) -> ConditionReport:
     )
 
 
-@dataclass(frozen=True)
-class TailEntry:
-    multiple: Fraction
-    r: float
-    tail: Fraction
-    tail_float: float
-    c_witness: float | None  # None when the exact tail is zero
+# c_witness is None when the exact tail is zero
+TailEntry = namedtuple("TailEntry", "multiple r tail tail_float c_witness")
 
 
-@dataclass(frozen=True)
-class TailReport:
+class TailReport(namedtuple("TailReport", "family stat n cap scale mean variance entries")):
     """Sub-Gaussian tail audit: P(|X - mu| >= r) vs 2 exp(-C r^2 / scale).
 
     witnessed_c is the largest constant C for which the bound holds at
     every grid radius, computed from exact tails; larger is stronger.
     """
 
-    family: str
-    stat: str
-    n: int
-    cap: int
-    scale: int
-    mean: Fraction
-    variance: Fraction
-    entries: tuple[TailEntry, ...]
+    __slots__ = ()
 
     @property
     def witnessed_c(self) -> float | None:

@@ -26,8 +26,8 @@ A request builds its `_Law` once, and both folds read its moves:
     never exceeds the total path count N, and L >= bits(N) gives N < 2^L.
     The zero extension of every prefix is a member of the (unconditioned)
     family, so its statistic is >= 0 and a shift to the right drops only
-    empty lanes.  The fold's cost is bounded before its first step and
-    refused above PMF_BYTE_BUDGET.
+    empty lanes.  The fold's bytes and time are bounded before its first
+    step and refused above PMF_BYTE_BUDGET and PMF_SECONDS_LIMIT.
   * `_fold_power_sums` carries exact power sums per state, with no pmf,
     reading a move as (t,) on one lane and (A, V) = (da, 2t + da) for size.
 
@@ -44,8 +44,7 @@ standardized moment is finally printed.
 from __future__ import annotations
 
 import sys
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import compress, count, product
@@ -89,6 +88,18 @@ _ATOM_BYTES = 320
 # --n and --k spans wider than this are refused before their list is built,
 # and so are a law's n and the values {0..cap} of its coordinates (`refuse_wide`)
 RANGE_LIMIT = 10_000
+# a law of more than about n*(cap + 1) moves is refused before it is built:
+# 10^6 moves took 0.55 s and 110 MiB to build (core length d=999 n=1000)
+MOVE_LIMIT = 100_000
+# The pmf fold shifts and adds, per move and (state, a) entry, an integer of
+# up to the widest layer's bytes, so moves * (a_top + 1) * (t_top + 1) * width
+# bounds its work.  With CPython 3.11 on x86-64 a unit took 0.3-1.5 ns on a
+# one-lane law (core length d=3 n=1600: 1.2e10 units, 10.5 s) and 0.03-0.16
+# ns on size, whose entries the bound over-counts (strict size d=2 n=160:
+# 2.1e11 units, 6.8 s).  Priced at PMF_UNIT_NS (one lane, size) a unit, a
+# fold estimated past PMF_SECONDS_LIMIT is refused before its first step.
+PMF_UNIT_NS = (0.75, 0.0625)
+PMF_SECONDS_LIMIT = 30
 
 
 def refuse_wide(spec: FamilySpec, what: str) -> None:
@@ -121,15 +132,18 @@ def _automaton(spec: FamilySpec, stat):
         return 1, [[(0, 0, Counter((0, v) for v in _pair_values(n, cap, k, i)))] for i in pairs], 1
     if kind == "durfee":
         raise ValueError(f"statistic {stat!r} has no engine for family {spec.family!r}")
-    lanes = 2 if kind == "size" else 1
-    if spec.family == "core":
-        return 1, [[(0, 0, _coordinate(n, kind, i, range(cap + 1)))] for i in range(1, n)], lanes
-    # strict: state 1 is "blocked", entered by a nonzero entry and left by a zero
-    steps = []
-    for i in range(1, n):
+
+    def step(i):
+        if spec.family == "core":
+            return [(0, 0, _coordinate(n, kind, i, range(cap + 1)))]
+        # strict: state 1 is "blocked", entered by a nonzero entry and left by a zero
         zero, nonzero = (_coordinate(n, kind, i, xs) for xs in ((0,), range(1, cap + 1)))
-        steps.append([(0, 0, zero), (1, 0, zero), (0, 1, nonzero)])
-    return 2, steps, lanes
+        return [(0, 0, zero), (1, 0, zero), (0, 1, nonzero)]
+
+    states = 1 if spec.family == "core" else 2
+    if kind == "length":  # the same moves at every coordinate: one shared step
+        return states, [step(1)] * (n - 1), 1
+    return states, [step(i) for i in range(1, n)], 2
 
 
 def _coordinate(n: int, kind: str, i: int, xs) -> Counter:
@@ -220,6 +234,7 @@ class _Law:
                 nxt[dst] += counts[src] * moves.total()
             counts = nxt
         self.paths = sum(counts)
+        self.moves = sum(len(moves) for tr in steps for *_, moves in tr)
         width = -(-self.paths.bit_length() // 8)
         self.width = width if width > 8 else 1 << (width - 1).bit_length()  # a cast decode
         self.a_top = sum(max(da for *_, moves in tr for da, _ in moves) for tr in steps)
@@ -229,6 +244,9 @@ class _Law:
     def of(cls, spec: FamilySpec, stat) -> "_Law":
         label = f"family {spec.family}, stat {stat}, n {spec.n}, cap {spec.cap}"
         refuse_wide(spec, label)
+        if spec.n * (spec.cap + 1) > MOVE_LIMIT:
+            raise ValueError(f"{label} refused: its automaton has about n*(cap + 1) = "
+                             f"{spec.n * (spec.cap + 1)} moves, over MOVE_LIMIT = {MOVE_LIMIT}")
         return cls(label, *_automaton(spec, stat))
 
     @property
@@ -236,28 +254,36 @@ class _Law:
         """Bytes of the widest layer's lanes plus the atoms at _ATOM_BYTES each."""
         return (self.t_top + 1) * (self.states * (self.a_top + 1) * self.width + _ATOM_BYTES)
 
+    @property
+    def seconds(self) -> float:
+        """The pmf fold's time estimate: PMF_UNIT_NS a unit of moves * widest layer bytes."""
+        units = self.moves * (self.a_top + 1) * (self.t_top + 1) * self.width
+        return units * PMF_UNIT_NS[self.a_top > 0] / 1e9
+
     def pmf(self) -> dict[int, int]:
-        """`_fold_pmf`, once it is known to fit PMF_BYTE_BUDGET; else one refusal line.
+        """`_fold_pmf`, once it fits PMF_BYTE_BUDGET and PMF_SECONDS_LIMIT; else one refusal line.
 
         A statistic of the family (`lanes` given) is told how far `moments`
         reaches it by the power-sum fold, which needs no pmf.
         """
         if self.need > PMF_BYTE_BUDGET:
-            reach = "" if self.lanes is None else (
-                f"; `moments` reaches its orders up to {_fold_reach(self.lanes)} without a pmf"
-            )
-            raise ValueError(
-                f"pmf of {self.label} refused: it may need {self.need} bytes, over "
-                f"PMF_BYTE_BUDGET = {PMF_BYTE_BUDGET}{reach}"
-            )
-        return _fold_pmf(self)
+            why = f"it may need {self.need} bytes, over PMF_BYTE_BUDGET = {PMF_BYTE_BUDGET}"
+        elif self.seconds > PMF_SECONDS_LIMIT:
+            why = (f"its fold is estimated at {self.seconds:.0f} s, "
+                   f"over PMF_SECONDS_LIMIT = {PMF_SECONDS_LIMIT}")
+        else:
+            return _fold_pmf(self)
+        reach = "" if self.lanes is None else (
+            f"; `moments` reaches its orders up to {_fold_reach(self.lanes)} without a pmf"
+        )
+        raise ValueError(f"pmf of {self.label} refused: {why}{reach}")
 
     def engine(self, k_max: int) -> str:
         """"fold" or "pmf": the engine that gives the power sums up to k_max
         with the smaller work estimate (see FOLD_TERM_NS)."""
         if k_max > _fold_reach(self.lanes):
             return "pmf"
-        if self.need > PMF_BYTE_BUDGET:
+        if self.need > PMF_BYTE_BUDGET or self.seconds > PMF_SECONDS_LIMIT:
             return "fold"
         terms = _plan_terms(_sum_index(self.lanes, k_max))
         fold_ns = FOLD_TERM_NS[self.lanes] * terms * sum(map(len, self.steps))
@@ -298,18 +324,12 @@ def refuse_moments(spec: FamilySpec, stat, k_max: int) -> None:
     _Law.of(spec, stat).refuse_moments(k_max)
 
 
-@dataclass(frozen=True)
-class MomentReport:
-    """Exact central moments plus print-ready standardized moments."""
+class MomentReport(namedtuple("MomentReport", "mean variance central standardized "
+                              "family stat n cap", defaults=(None,) * 4)):
+    """Exact central moments mu_0 .. mu_kmax plus print-ready standardized
+    moments, k -> 3-decimal string (none if the variance is 0)."""
 
-    mean: Fraction
-    variance: Fraction
-    central: tuple[Fraction, ...]  # mu_0 .. mu_kmax
-    standardized: dict[int, str]  # k -> 3-decimal string; empty if variance is 0
-    family: str | None = None
-    stat: str | None = None
-    n: int | None = None
-    cap: int | None = None
+    __slots__ = ()
 
     @property
     def degenerate(self) -> bool:
@@ -504,13 +524,7 @@ def legal_supports(n: int) -> Iterator[tuple[int, ...]]:
         yield tuple(i for i, v in enumerate(x, start=1) if v)
 
 
-@dataclass(frozen=True)
-class ConditionalStat:
-    dist: DiscreteDist
-    mean: Fraction
-    variance: Fraction
-    closed_mean: Fraction
-    closed_variance: Fraction
+ConditionalStat = namedtuple("ConditionalStat", "dist mean variance closed_mean closed_variance")
 
 
 def conditional_stat(spec: FamilySpec, stat, support) -> ConditionalStat:

@@ -8,7 +8,7 @@ reproducible from (spec, seed, count); see rng.py for the stream contract.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import repeat
 from typing import Iterator
 
@@ -23,19 +23,17 @@ class FamilyTooLargeError(ValueError):
     """Enumeration refused: the family exceeds the cardinality limit."""
 
 
-@dataclass(frozen=True)
-class FamilySpec:
-    family: str
-    n: int
-    cap: int
+class FamilySpec(namedtuple("FamilySpec", "family n cap")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}, expected one of {FAMILIES}")
-        if self.n < 2:
+    def __new__(cls, family: str, n: int, cap: int):
+        if family not in FAMILIES:
+            raise ValueError(f"unknown family {family!r}, expected one of {FAMILIES}")
+        if n < 2:
             raise ValueError("modulus n must be at least 2")
-        if self.cap < 0:
+        if cap < 0:
             raise ValueError("capacity must be non-negative")
+        return super().__new__(cls, family, n, cap)
 
     @property
     def width(self) -> int:

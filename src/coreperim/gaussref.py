@@ -14,7 +14,7 @@ two halves.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Iterable
 
 from .distributions import DiscreteDist, central_moments_from_sums
@@ -134,14 +134,8 @@ def _inverse_cdf(level: float, lo: float, hi: float) -> float:
     return 0.5 * (lo + hi)
 
 
-@dataclass(frozen=True)
-class NormalDistanceResult:
-    family: str
-    stat: str
-    cap: int
-    n: int
-    d_k: float
-    d_w: float
+class NormalDistanceResult(namedtuple("NormalDistanceResult", "family stat cap n d_k d_w")):
+    __slots__ = ()
 
     @property
     def sqrtn_d_k(self) -> float:

@@ -5,16 +5,15 @@ empty partition is a first-class value: empty beta-set, perimeter 0.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 
 class PartitionError(ValueError):
     """Raised when input fails to describe a valid partition."""
 
 
-@dataclass(frozen=True)
-class Partition:
-    parts: tuple[int, ...]
+class Partition(namedtuple("Partition", "parts")):
+    __slots__ = ()
 
     @property
     def length(self) -> int:
@@ -33,6 +32,10 @@ class Partition:
 
     def __iter__(self):
         return iter(self.parts)
+
+    def __getnewargs__(self):
+        # the base class's is tuple(self), which the iteration above makes the parts
+        return (self.parts,)
 
     def __str__(self) -> str:
         return format_partition(self)

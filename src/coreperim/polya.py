@@ -43,7 +43,7 @@ arithmetic gives.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import comb
 from typing import Iterable, Sequence
@@ -61,17 +61,17 @@ class RealRootednessError(ValueError):
     """Raised when the requested real-root certificate cannot be produced."""
 
 
-@dataclass(frozen=True)
-class PFSequence:
+class PFSequence(namedtuple("PFSequence", "coefficients")):
     """Integer coefficient sequence a_0..a_m, ascending degree."""
 
-    coefficients: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.coefficients or self.coefficients[-1] == 0:
+    def __new__(cls, coefficients: tuple[int, ...]):
+        if not coefficients or coefficients[-1] == 0:
             raise ValueError("need a nonzero leading coefficient")
-        if any(c < 0 for c in self.coefficients):
+        if any(c < 0 for c in coefficients):
             raise ValueError("coefficients must be nonnegative")
+        return super().__new__(cls, coefficients)
 
     @property
     def degree(self) -> int:
@@ -327,12 +327,10 @@ def _refine(plan: _Plan, br: list) -> None:
         _bisect_once(plan, br)
 
 
-@dataclass(frozen=True)
-class RootCertificate:
-    """Exact bracketing proof for the full real root list."""
+class RootCertificate(namedtuple("RootCertificate", "degree brackets")):
+    """Exact bracketing proof for the full real root list: (lo, hi) per root."""
 
-    degree: int
-    brackets: tuple[tuple[Fraction, Fraction], ...]
+    __slots__ = ()
 
     @property
     def all_negative(self) -> bool:
@@ -391,14 +389,8 @@ def u_distribution(n: int, d: int) -> DiscreteDist:
     return DiscreteDist(dict(enumerate(u_weights(n, d))))
 
 
-@dataclass(frozen=True)
-class BernoulliSplit:
-    n: int
-    d: int
-    roots: tuple[float, ...]
-    probabilities: tuple[float, ...]
-    certificate: RootCertificate
-    reconstruction_error: float
+BernoulliSplit = namedtuple(
+    "BernoulliSplit", "n d roots probabilities certificate reconstruction_error")
 
 
 def bernoulli_decomposition(n: int, d: int) -> BernoulliSplit:
@@ -430,14 +422,8 @@ def bernoulli_decomposition(n: int, d: int) -> BernoulliSplit:
     )
 
 
-@dataclass(frozen=True)
-class UMeanBounds:
-    n: int
-    d: int
-    mean: Fraction
-    upper: Fraction
-    meets_upper: bool
-    linear_slack: float  # mean minus (5 - sqrt 5)/10 * n
+# linear_slack is the mean minus (5 - sqrt 5)/10 * n
+UMeanBounds = namedtuple("UMeanBounds", "n d mean upper meets_upper linear_slack")
 
 
 def u_mean_bounds(n: int, d: int) -> UMeanBounds:
@@ -454,15 +440,7 @@ def u_mean_bounds(n: int, d: int) -> UMeanBounds:
     )
 
 
-@dataclass(frozen=True)
-class LowerTailCheck:
-    n: int
-    d: int
-    r: Fraction
-    mean: Fraction
-    tail: Fraction
-    bound: float
-    holds: bool
+LowerTailCheck = namedtuple("LowerTailCheck", "n d r mean tail bound holds")
 
 
 def pf_tail_bound(n: int, d: int, r) -> LowerTailCheck:

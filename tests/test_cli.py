@@ -310,6 +310,80 @@ def test_wide_refusals_leave_what_answers(capsys):
     assert (code, err) == (0, "") and out.splitlines()[0] == "k,10000"
 
 
+# requests priced before they are built: the first two by their automaton's
+# moves (MOVE_LIMIT), the last two by their pmf fold's time (PMF_SECONDS_LIMIT).
+# Before these prices the first began building 10^8 moves (a MemoryError after
+# 5.5 s under a 1.5 GB address-space limit), the second 10^6 moves, and the
+# folds of the last two were estimated at 2 250 s and 911 s
+PRICED_REFUSED = {
+    "moves": (["dist", "--family", "core", "--stat", "length", "--d", "9999", "--n", "9999"],
+              "moves, over MOVE_LIMIT = 100000"),
+    "moves-per-coordinate": (["dist", "--family", "core", "--stat", "length", "--d", "9999",
+                              "--n", "100"], "moves, over MOVE_LIMIT = 100000"),
+    "fold-steps": (["dist", "--family", "core", "--stat", "length", "--d", "3", "--n", "10000"],
+                   "its fold is estimated at 2250 s, over PMF_SECONDS_LIMIT = 30"),
+    "fold-moves": (["distance", "--family", "core", "--stat", "length", "--d", "999", "--n", "100"],
+                   "its fold is estimated at 911 s, over PMF_SECONDS_LIMIT = 30"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PRICED_REFUSED))
+def test_a_dear_request_is_refused_before_it_is_built(capsys, name):
+    argv, why = PRICED_REFUSED[name]
+    tracemalloc.start()
+    t0 = time.perf_counter()
+    try:
+        code, out, err = run(capsys, *argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - t0 < 1.0
+    assert (code, out) == (1, "")
+    (line,) = err.splitlines()
+    assert line.startswith("error: ") and why in line
+    assert peak < 1 << 20
+
+
+def test_priced_refusals_leave_what_answers(capsys):
+    # the pmf is refused, and `moments` folds the same law without one
+    code, out, err = run(capsys, "moments", *PRICED_REFUSED["fold-moves"][0][1:], "--k", "3..4")
+    assert (code, err) == (0, "") and out.splitlines() == ["k,100", "3,0.000", "4,2.988"]
+
+
+def test_a_memory_error_is_one_error_line(capsys, monkeypatch):
+    import coreperim.cli as cli
+
+    def exhausted(args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "cmd_dist", exhausted)
+    code, out, err = run(capsys, "dist", "--family", "core", "--stat", "length", "--d", "1",
+                         "--n", "4")
+    assert (code, out, err) == (1, "", "error: out of memory\n")
+
+
+# each command runs in a fresh interpreter without `dataclasses` and its
+# import chain (inspect, ast, dis)
+NO_DATACLASSES = {
+    "moments": ["--family", "core", "--stat", "size", "--d", "3", "--n", "5..8"],
+    "dist": ["--family", "strict", "--stat", "size", "--d", "2", "--n", "9"],
+    "distance": ["--family", "selfconj", "--stat", "power:2", "--e", "2", "--n", "6..9"],
+    "sample": ["--family", "core", "--d", "3", "--n", "10", "--seed", "7", "--count", "5",
+               "--decode"],
+    "verify": ["--quick"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(NO_DATACLASSES))
+def test_no_command_imports_dataclasses(command):
+    script = ("import sys\nfrom coreperim.cli import main\nrc = main(sys.argv[1:])\n"
+              "print(rc, *sorted({'dataclasses', 'inspect', 'ast', 'dis'} & set(sys.modules)),"
+              " file=sys.stderr)")
+    proc = subprocess.run([sys.executable, "-c", script, command, *NO_DATACLASSES[command]],
+                          capture_output=True, text=True)
+    assert proc.stdout and proc.stderr.splitlines()[-1] == "0"
+
+
 # coreperim modules a command does not run, absent after it ran in a fresh interpreter
 NOT_LOADED = {
     "moments": ({"codec", "partitions", "gaussref", "polya"},
@@ -663,6 +737,10 @@ def cli_calls(draw):
 @example(call=(WIDE_REFUSED["dist-cap"], None))
 @example(call=(WIDE_REFUSED["moments-n"], None))
 @example(call=(WIDE_REFUSED["decode-cap"], None))
+@example(call=(PRICED_REFUSED["moves"][0], None))
+@example(call=(PRICED_REFUSED["moves-per-coordinate"][0], None))
+@example(call=(PRICED_REFUSED["fold-steps"][0], None))
+@example(call=(PRICED_REFUSED["fold-moves"][0], None))
 def test_cli_contract_fuzz(tmp_path, capsys, call):
     argv, config = call
     argv = [a.replace("@tmp", str(tmp_path)) for a in argv]

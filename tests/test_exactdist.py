@@ -440,3 +440,35 @@ def test_refuse_wide_boundaries():
     for n, cap in ((limit + 1, 3), (5, limit), (2, 10**18)):
         with pytest.raises(ValueError, match=f"^law refused: .* at most RANGE_LIMIT = {limit}$"):
             refuse_wide(FamilySpec("strict", n, cap), "law")
+
+
+def test_move_limit_boundary():
+    # n*(cap + 1) is priced before `_automaton` builds a move
+    limit = exactdist.MOVE_LIMIT
+    assert exactdist._Law.of(FamilySpec("core", 1000, limit // 1000 - 1), "length").moves < limit
+    for family, stat in (("core", "size"), ("strict", "length"), ("selfconj", "power:2")):
+        with pytest.raises(ValueError, match=f"^family {family}, .* = {limit + 100} moves, "
+                                             f"over MOVE_LIMIT = {limit}$"):
+            exactdist._Law.of(FamilySpec(family, 100, limit // 100), stat)
+
+
+def test_the_pmf_fold_is_priced_in_time(monkeypatch):
+    # the slowest pmfs answered so far fit PMF_SECONDS_LIMIT, and core length
+    # d=3 n=2400 (estimated at 31 s) is refused before its first step
+    limit = exactdist.PMF_SECONDS_LIMIT
+    for family, stat, cap, n in (("core", "length", 3, 1600), ("strict", "size", 2, 160)):
+        law = exactdist._Law.of(FamilySpec(family, n, cap), stat)
+        assert law.seconds < limit / 2 and law.need <= exactdist.PMF_BYTE_BUDGET
+    law = exactdist._Law.of(FamilySpec("core", 2400, 3), "length")
+    assert law.seconds > limit and law.need <= exactdist.PMF_BYTE_BUDGET
+    with pytest.raises(ValueError, match=f"over PMF_SECONDS_LIMIT = {limit}; `moments` reaches"):
+        law.pmf()
+    # length moves are the same at every coordinate: its steps share one list
+    assert len({id(step) for step in law.steps}) == 1
+    # a column past the limit folds, as one past PMF_BYTE_BUDGET does
+    spec = FamilySpec("core", 10, 3)
+    expected = dist_statistic(spec, "size").power_sums(8)
+    assert sums_engine(spec, "size", 8) == "pmf"
+    monkeypatch.setattr(exactdist, "PMF_SECONDS_LIMIT", 1e-6)
+    assert sums_engine(spec, "size", 8) == "fold"
+    assert power_sums(spec, "size", 8) == expected
