@@ -166,6 +166,13 @@ def cmd_moments(args) -> int:
     family, cap, ns = _sweep_from(args)
     ks = parse_range(args.k)
     _check_moment_request(family, cap, ns, ks, args.stat)
+    golden = None
+    if args.diff:  # read before any column is computed
+        try:
+            with open(args.diff, encoding="utf-8") as fh:
+                golden = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"golden file {args.diff} is not UTF-8: {exc}") from None
     jobs = [(family, cap, n, args.stat, ks[0], ks[-1]) for n in ns]
     columns = _run_columns(_moment_column, jobs, args.jobs)
     lines = ["k," + ",".join(str(n) for n in ns)]
@@ -174,7 +181,7 @@ def cmd_moments(args) -> int:
     table = "\n".join(lines) + "\n"
     _write_out(table, args.out)
     if args.diff:
-        return _diff_tables(table, args.diff)
+        return _diff_tables(table, golden, args.diff)
     return 0
 
 
@@ -188,9 +195,7 @@ def _parse_cells(text: str) -> list[list[str]]:
     return rows
 
 
-def _diff_tables(produced: str, golden_path: str) -> int:
-    with open(golden_path) as fh:
-        golden = fh.read()
+def _diff_tables(produced: str, golden: str, golden_path: str) -> int:
     ours = _parse_cells(produced)
     theirs = _parse_cells(golden)
     problems = []

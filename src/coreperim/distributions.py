@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import islice
-from math import comb, isqrt
+from math import isqrt
 from operator import lt
 
 
@@ -115,19 +115,17 @@ def convolve(a: DiscreteDist, b: DiscreteDist) -> DiscreteDist:
 def central_moments_from_sums(raw: list[int]) -> list[Fraction]:
     """Exact central moments [mu_0 .. mu_K] from integer power sums.
 
-    raw[j] = sum w*v^j with raw[0] the total weight.  The shift to central
-    moments is a binomial transform kept in integers,
-        mu_k * total^k = sum_j C(k, j) * raw[j] * total^(j-1) * (-raw[1])^(k-j),
-    so one Fraction is built per order and none on the per-atom path.
+    raw[j] = sum w*v^j with raw[0] = N the total weight.  One Pascal triangle
+    in integers makes the shift: row 0 is T[0][j] = raw[j] * N^j, and row i
+    T[i][j] = T[i-1][j+1] + h * T[i-1][j] = sum w * (N*v)^j * (N*v + h)^i with
+    h = -raw[1], so mu_k = T[k][0] / N^(k+1).  Each step multiplies by h
+    alone, and one Fraction is built per order.
     """
-    total = raw[0]
-    shift = -raw[1] if len(raw) > 1 else 0
-    out = [Fraction(1)]
-    for k in range(1, len(raw)):
-        num = shift**k + sum(
-            comb(k, j) * raw[j] * total ** (j - 1) * shift ** (k - j) for j in range(1, k + 1)
-        )
-        out.append(Fraction(num, total**k))
+    total, h = raw[0], -raw[1] if len(raw) > 1 else 0
+    row, out = [r * total**j for j, r in enumerate(raw)], []
+    for k in range(len(raw)):
+        out.append(Fraction(row[0], total ** (k + 1)))
+        row = [a + h * b for a, b in zip(row[1:], row)]
     return out
 
 

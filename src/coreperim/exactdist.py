@@ -33,10 +33,10 @@ A request builds its `_Law` once, and both folds read its moves:
 
 `power_sums` (and so `moment_report`) takes, per column, whichever of the
 two gives its power sums with the smaller work estimate, read off the law
-before either runs (`sums_engine`): small columns are read off the pmf,
-large ones fold, and so do the selfconj `power:2` and `power:3` columns,
-whose pmfs are wide.  Both are exact integer folds, so the choice never
-changes a printed digit.
+before either runs (`sums_engine`; the pmf at the price that refuses it):
+small columns are read off the pmf, large ones fold, and so do the selfconj
+`power:2` and `power:3` columns, whose pmfs are wide.  Both are exact
+integer folds, so the choice never changes a printed digit.
 
 All weights stay arbitrary-precision integers; floats appear only when a
 standardized moment is finally printed.
@@ -97,7 +97,8 @@ MOVE_LIMIT = 100_000
 # one-lane law (core length d=3 n=1600: 1.2e10 units, 10.5 s) and 0.03-0.16
 # ns on size, whose entries the bound over-counts (strict size d=2 n=160:
 # 2.1e11 units, 6.8 s).  Priced at PMF_UNIT_NS (one lane, size) a unit, a
-# fold estimated past PMF_SECONDS_LIMIT is refused before its first step.
+# fold estimated past PMF_SECONDS_LIMIT is refused before its first step;
+# `_Law.engine` reads the same price.
 PMF_UNIT_NS = (0.75, 0.0625)
 PMF_SECONDS_LIMIT = 30
 
@@ -260,18 +261,24 @@ class _Law:
         units = self.moves * (self.a_top + 1) * (self.t_top + 1) * self.width
         return units * PMF_UNIT_NS[self.a_top > 0] / 1e9
 
+    @property
+    def pmf_refusal(self) -> str:
+        """Why `_fold_pmf` may not run: "" once it fits PMF_BYTE_BUDGET and PMF_SECONDS_LIMIT."""
+        if self.need > PMF_BYTE_BUDGET:
+            return f"it may need {self.need} bytes, over PMF_BYTE_BUDGET = {PMF_BYTE_BUDGET}"
+        if self.seconds > PMF_SECONDS_LIMIT:
+            return (f"its fold is estimated at {self.seconds:.0f} s, "
+                    f"over PMF_SECONDS_LIMIT = {PMF_SECONDS_LIMIT}")
+        return ""
+
     def pmf(self) -> dict[int, int]:
-        """`_fold_pmf`, once it fits PMF_BYTE_BUDGET and PMF_SECONDS_LIMIT; else one refusal line.
+        """`_fold_pmf` unless `pmf_refusal` says why not, in one refusal line.
 
         A statistic of the family (`lanes` given) is told how far `moments`
         reaches it by the power-sum fold, which needs no pmf.
         """
-        if self.need > PMF_BYTE_BUDGET:
-            why = f"it may need {self.need} bytes, over PMF_BYTE_BUDGET = {PMF_BYTE_BUDGET}"
-        elif self.seconds > PMF_SECONDS_LIMIT:
-            why = (f"its fold is estimated at {self.seconds:.0f} s, "
-                   f"over PMF_SECONDS_LIMIT = {PMF_SECONDS_LIMIT}")
-        else:
+        why = self.pmf_refusal
+        if not why:
             return _fold_pmf(self)
         reach = "" if self.lanes is None else (
             f"; `moments` reaches its orders up to {_fold_reach(self.lanes)} without a pmf"
@@ -283,13 +290,11 @@ class _Law:
         with the smaller work estimate (see FOLD_TERM_NS)."""
         if k_max > _fold_reach(self.lanes):
             return "pmf"
-        if self.need > PMF_BYTE_BUDGET or self.seconds > PMF_SECONDS_LIMIT:
+        if self.pmf_refusal:
             return "fold"
         terms = _plan_terms(_sum_index(self.lanes, k_max))
         fold_ns = FOLD_TERM_NS[self.lanes] * terms * sum(map(len, self.steps))
-        layer = (self.a_top + 1) * (self.t_top + 1) * self.width
-        pmf_ns = (LAYER_BYTE_NS[self.lanes] * layer * len(self.steps)
-                  + ATOM_ORDER_NS * (self.t_top + 1) * (k_max + 1))
+        pmf_ns = self.seconds * 1e9 + ATOM_ORDER_NS * (self.t_top + 1) * (k_max + 1)
         return "pmf" if pmf_ns < fold_ns else "fold"
 
     def refuse_moments(self, k_max: int) -> None:
@@ -305,12 +310,12 @@ class _Law:
                              f"{work} units of work, over MOMENT_WORK_LIMIT = {MOMENT_WORK_LIMIT}")
 
 
-# `_report` makes about k_max^2 / 2 products of integers up to k_max * b bits,
-# b = bits(N) + bits(max s), then one Fraction and one exact rounding per
-# order, so k_max^3 * b estimates its work.  With CPython 3.11 on x86-64 a
-# unit took 1.3-4.4 ns, more with more bits per unit, so a request just under
-# the limit runs 2.7-8.7 s: core length d=3 at n=5 (k_max 535, b 13) takes
-# 2.7 s, at n=200 (169, 409) 3.3 s; strict length d=2 n=100 (264, 108) 8.7 s.
+# `_report`'s triangle makes about k_max^2 / 2 products of integers up to
+# k_max * b bits, b = bits(N) + bits(max s), then one Fraction and one exact
+# rounding per order, so k_max^3 * b estimates its work.  With CPython 3.11
+# on x86-64 a unit took 0.05-0.8 ns, so a request just under the limit runs
+# 0.1-1.6 s: core length d=3 at n=5 (k_max 535, b 13) 0.09 s, at n=200 (169,
+# 409) 0.4 s; strict length d=2 n=100 (264, 108) 1.6 s, 1.3 of it rounding.
 # Where the pmf gives the sums, its pass makes k_max products per atom, at
 # most min(t_top + 1, N) atoms, of up to k_max * bits(t_top) + bits(N) bits,
 # so atoms * (k_max + 1) * (k_max * bits(t_top) + bits(N)) / 64 estimates it:
@@ -358,8 +363,8 @@ def _report(raw: list[int], k_max: int, meta: dict) -> MomentReport:
     standardized: dict[int, str] = {}
     if variance != 0:
         for k in range(1, k_max + 1):
-            sign, square = _std_sq(central, k)
-            standardized[k] = round_half_away(sign, square)
+            mk = central[k]  # m_k^2 = mu_k^2 / mu_2^k, signed as mu_k
+            standardized[k] = round_half_away((mk > 0) - (mk < 0), mk * mk / variance**k)
     return MomentReport(
         mean=Fraction(raw[1], raw[0]),
         variance=variance,
@@ -367,12 +372,6 @@ def _report(raw: list[int], k_max: int, meta: dict) -> MomentReport:
         standardized=standardized,
         **meta,
     )
-
-
-def _std_sq(central: tuple[Fraction, ...], k: int) -> tuple[int, Fraction]:
-    mk, var = central[k], central[2]
-    sign = (mk > 0) - (mk < 0)
-    return sign, mk * mk / var**k
 
 
 # ---------------------------------------------------------- moment engine
@@ -394,16 +393,13 @@ FOLD_PLAN_LIMIT = 20_000
 # Below the cap `power_sums` takes whichever exact engine its work estimate
 # calls cheaper, in rough nanoseconds:
 #   fold  FOLD_TERM_NS[lanes] * plan terms * transitions of the automaton,
-#   pmf   LAYER_BYTE_NS[lanes] * widest layer bytes * steps
+#   pmf   the fold's own price `_Law.seconds` (PMF_UNIT_NS, which also refuses)
 #         + ATOM_ORDER_NS * (t_top + 1) * (k_max + 1), the pass over the atoms.
-# The layer bound (a_top + 1) * (t_top + 1) lanes over-counts size (two
-# lanes) far more than a one-lane statistic, hence one pair of weights per
-# lane count.  The weights were fitted to the crossover curve in
-# BENCH_14.json (CPython 3.11, x86-64); only their ratios decide, and the
-# columns they send the slower way lie at a crossover, where the two engines
-# are within about a quarter of each other.
+# The weights were fitted to the crossover curve in BENCH_14.json (CPython
+# 3.11, x86-64); only their ratios decide, and the columns they send the
+# slower way lie at a crossover, where the two engines are within about a
+# quarter of each other.
 FOLD_TERM_NS = {1: 800, 2: 200}
-LAYER_BYTE_NS = {1: 3, 2: 0.25}
 ATOM_ORDER_NS = 100
 
 

@@ -204,6 +204,26 @@ def test_diff_against_a_golden_file_without_rows(tmp_path, capsys, text):
     assert err == f"diff: golden file {golden} has no table rows\n"
 
 
+@pytest.mark.parametrize("golden", ["missing.csv", "latin1.csv", "a-directory"])
+def test_an_unreadable_golden_file_is_refused_before_any_column(tmp_path, capsys, monkeypatch, golden):
+    (tmp_path / "latin1.csv").write_bytes("k,6,7\n3,0.000,\xe9\n".encode("latin-1"))
+    (tmp_path / "a-directory").mkdir()
+
+    def no_column(*args):
+        raise AssertionError("a column was computed")
+
+    monkeypatch.setattr(coreperim.cli, "moment_report", no_column)
+    out_file = tmp_path / "table.csv"
+    code, out, err = run(
+        capsys, "moments", "--family", "core", "--stat", "length", "--d", "1",
+        "--n", "6..7", "--k", "3..3", "--out", str(out_file), "--diff", str(tmp_path / golden),
+    )
+    assert (code, out) == (1, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert str(tmp_path / golden) in err
+    assert not out_file.exists()
+
+
 def test_dist_over_the_step_limit_is_refused():
     # in a child process: the refused fold still holds ~230 MB of atoms
     proc = subprocess.run(

@@ -1,13 +1,17 @@
 from fractions import Fraction
+from math import comb
 
 from hypothesis import given, strategies as st
 import pytest
 
 from coreperim.distributions import (
     DiscreteDist,
+    central_moments_from_sums,
     convolve,
     round_half_away,
 )
+from coreperim.exactdist import power_sums
+from coreperim.families import FamilySpec
 
 
 atom_dicts = st.dictionaries(
@@ -197,3 +201,42 @@ def test_round_half_away_matches_decimal_on_perfect_squares(m):
     s = Fraction(m * m, 10**6)
     text = round_half_away(1, s)
     assert text == f"{m // 1000}.{m % 1000:03d}"
+
+
+def _central_moments_by_binomial_sums(raw):
+    """The reduction as it stood before the Pascal triangle, kept as an oracle:
+    mu_k * N^k = sum_j C(k, j) * raw[j] * N^(j-1) * (-raw[1])^(k-j)."""
+    total = raw[0]
+    shift = -raw[1] if len(raw) > 1 else 0
+    out = [Fraction(1)]
+    for k in range(1, len(raw)):
+        num = shift**k + sum(
+            comb(k, j) * raw[j] * total ** (j - 1) * shift ** (k - j) for j in range(1, k + 1)
+        )
+        out.append(Fraction(num, total**k))
+    return out
+
+
+@given(
+    st.dictionaries(
+        st.one_of(st.integers(-30, 30), st.integers(-(10**40), 10**40)),
+        st.one_of(st.integers(1, 50), st.integers(1, 10**60)),
+        min_size=1,
+        max_size=8,
+    ),
+    st.integers(0, 40),
+)
+def test_central_moments_from_sums_equal_the_binomial_sums(atoms, k_max):
+    raw = DiscreteDist(atoms).power_sums(k_max)
+    assert central_moments_from_sums(raw) == _central_moments_by_binomial_sums(raw)
+
+
+def test_central_moments_from_sums_equal_the_binomial_sums_on_the_table_laws():
+    from test_exactdist import TABLE_ENGINES
+
+    for family, stat, cap, ns, _ in TABLE_ENGINES:
+        for n in ns:
+            raw = power_sums(FamilySpec(family, n, cap), stat, 60)
+            assert central_moments_from_sums(raw) == _central_moments_by_binomial_sums(raw), (
+                family, stat, cap, n,
+            )

@@ -303,6 +303,18 @@ def test_the_pmf_is_never_chosen_past_its_byte_budget(monkeypatch):
     assert power_sums(spec, "size", 8) == expected
 
 
+def test_the_engine_pick_reads_the_pmf_refusals_own_price(monkeypatch):
+    # a pmf fold priced 100 times dearer, still far under PMF_SECONDS_LIMIT,
+    # sends core size d=3 n=10 (a pinned pmf pick) to the fold
+    spec = FamilySpec("core", 10, 3)
+    expected = dist_statistic(spec, "size").power_sums(8)
+    assert sums_engine(spec, "size", 8) == "pmf"
+    monkeypatch.setattr(exactdist, "PMF_UNIT_NS", tuple(100 * ns for ns in exactdist.PMF_UNIT_NS))
+    assert exactdist._Law.of(spec, "size").seconds < exactdist.PMF_SECONDS_LIMIT
+    assert sums_engine(spec, "size", 8) == "fold"
+    assert power_sums(spec, "size", 8) == expected
+
+
 def test_power_sums_past_the_plan_limit_and_errors():
     # orders whose fold plan is too large are read off the pmf instead
     spec = FamilySpec("strict", 9, 2)
