@@ -9,10 +9,10 @@ reproducible from (spec, seed, count); see rng.py for the stream contract.
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import repeat
+from itertools import islice
 from typing import Iterator
 
-from .rng import SplitMix64, plan
+from .rng import Blocks, SplitMix64, plan
 
 FAMILIES = ("core", "strict", "selfconj")
 
@@ -117,20 +117,28 @@ def sample(spec: FamilySpec, seed: int, count: int) -> list[tuple[int, ...]]:
     The output is a pure function of (spec, seed, count): coordinates are
     consumed left to right, one bounded draw per decision, from a single
     SplitMix64 stream seeded with `seed`.  The draw plans depend on the spec
-    alone, so they are built once for all `count` vectors.
+    alone, so they are built once for all `count` vectors.  The words are
+    drawn a block at a time (`rng.SplitMix64.draws`, `rng.Blocks`) with the
+    values of the scalar `take` over `next64`; on return the state has
+    advanced by exactly one increment per word drawn.
     """
     if count < 0:
         raise ValueError("count must be non-negative")
-    take = SplitMix64(seed).take
+    gen, width = SplitMix64(seed), spec.width
     if spec.family == "core":
-        cell = plan(spec.cap + 1)
-        return [tuple(map(take, repeat(cell, spec.width))) for _ in range(count)]
+        draws = gen.draws(plan(spec.cap + 1), width * count)
+        return [tuple(islice(draws, width)) for _ in range(count)]
     if spec.family == "strict":
         f = strict_suffix_counts(spec.n, spec.cap)
-        plans = [plan(bound) for bound in f[: spec.width]]
-        return [_sample_strict(take, f, plans) for _ in range(count)]
-    pair = plan(2 * spec.cap + 1)
-    return [_sample_selfconj(spec, take, pair) for _ in range(count)]
+        plans = [plan(bound) for bound in f[:width]]
+        # before rejections: at most one draw per coordinate, each of at most plan 0's words
+        words = Blocks(gen, count * width * (1 + len(plans[0][2])))
+        vectors = [_sample_strict(words.take, f, plans) for _ in range(count)]
+        words.close()
+        return vectors
+    half = spec.n // 2
+    draws = gen.draws(plan(2 * spec.cap + 1), half * count)
+    return [_sample_selfconj(spec, islice(draws, half)) for _ in range(count)]
 
 
 def _sample_strict(take, f: list[int], plans: list) -> tuple[int, ...]:
@@ -147,12 +155,12 @@ def _sample_strict(take, f: list[int], plans: list) -> tuple[int, ...]:
     return tuple(x)
 
 
-def _sample_selfconj(spec: FamilySpec, take, pair) -> tuple[int, ...]:
+def _sample_selfconj(spec: FamilySpec, pairs) -> tuple[int, ...]:
     n, e = spec.n, spec.cap
     x = [0] * n
     # pair (i+1, n-i) in 1-based terms: outcome t=0 is (0,0),
     # 1..e puts t on the left, e+1..2e puts t-e on the right
-    for i, t in enumerate(map(take, repeat(pair, n // 2))):
+    for i, t in enumerate(pairs):
         if t > e:
             x[n - 1 - i] = t - e
         elif t:

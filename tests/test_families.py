@@ -1,8 +1,14 @@
 import hashlib
+import io
 import json
+import subprocess
+import sys
+from contextlib import redirect_stdout
+from itertools import product
 from math import comb
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy.stats import chi2
 
 from coreperim import codec, families
@@ -18,7 +24,7 @@ from coreperim.families import (
     stat_name,
     strict_suffix_counts,
 )
-from coreperim.rng import SplitMix64, plan
+from coreperim.rng import BLOCK, Blocks, SplitMix64, plan
 
 
 def closed_count(spec):
@@ -312,29 +318,156 @@ def test_sampler_v1_plan_streams_are_pinned(monkeypatch, key):
     assert words_drawn(gen, 7) == words
 
 
-@pytest.mark.parametrize("key", list(V1_EDGE_STREAMS), ids=lambda k: "-".join(map(str, k)))
-def test_every_word_comes_from_next64(monkeypatch, key):
-    # the words read off the state's advance equal the next64 calls, so a
-    # word count may be taken either way
-    made, calls = [], 0
-    plain = SplitMix64.next64
+def reference_sample(spec, seed, count):
+    """The per-call v1 sampler, frozen: one `take` over `next64` per decision.
 
-    class Counted(SplitMix64):
+    Returns the vectors and the number of `next64` calls they took.
+    """
+    gen, calls = SplitMix64(seed), 0
+    plain = gen.next64
+
+    def next64():
+        nonlocal calls
+        calls += 1
+        return plain()
+
+    gen.next64 = next64  # `take` reads the word source off the instance
+    take = gen.take
+    if spec.family == "core":
+        cell = plan(spec.cap + 1)
+        return [tuple(take(cell) for _ in range(spec.width)) for _ in range(count)], calls
+    if spec.family == "strict":
+        f = strict_suffix_counts(spec.n, spec.cap)
+        vectors = []
+        for _ in range(count):
+            x, i = [0] * spec.width, 0
+            while i < spec.width:
+                u = take(plan(f[i]))
+                if u < f[i + 1]:
+                    i += 1
+                else:
+                    x[i] = 1 + (u - f[i + 1]) // f[i + 2]
+                    i += 2
+            vectors.append(tuple(x))
+        return vectors, calls
+    n, e, vectors = spec.n, spec.cap, []
+    for _ in range(count):
+        x = [0] * n
+        for i in range(n // 2):
+            t = take(plan(2 * e + 1))
+            if t > e:
+                x[n - 1 - i] = t - e
+            elif t:
+                x[i] = t
+        vectors.append(tuple(x))
+    return vectors, calls
+
+
+@pytest.mark.parametrize("key", [*V1_EDGE_STREAMS, *V1_PLAN_STREAMS],
+                         ids=lambda k: "-".join(map(str, k)))
+def test_sample_equals_the_per_call_reference(monkeypatch, key):
+    # the block draws give the per-call sampler's vectors, and the state's
+    # advance counts exactly the words that sampler drew
+    count = V1_PLAN_STREAMS[key][0] if key in V1_PLAN_STREAMS else 50
+    made = []
+
+    class Kept(SplitMix64):
         def __init__(self, seed):
             super().__init__(seed)
             made.append(self)
 
-        def next64(self):
-            nonlocal calls
-            calls += 1
-            return plain(self)
-
-    monkeypatch.setattr(families, "SplitMix64", Counted)
-    sample(FamilySpec(*key), seed=7, count=50)
+    monkeypatch.setattr(families, "SplitMix64", Kept)
+    spec = FamilySpec(*key)
+    expected, calls = reference_sample(spec, 7, count)
+    assert sample(spec, seed=7, count=count) == expected
     (gen,) = made
-    gamma_inv = pow(0x9E3779B97F4A7C15, -1, 2**64)
-    assert calls > 0
-    assert ((gen._state - 7) * gamma_inv) % 2**64 == calls
+    assert words_drawn(gen, 7) == calls
+
+
+EDGE_SEEDS = (0, 2**64 - 1, -12345)
+EDGE_COUNTS = (0, 1, BLOCK - 1, BLOCK, BLOCK + 1)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.sampled_from(EDGE_SEEDS) | st.integers(-(2**70), 2**70),
+       count=st.sampled_from(EDGE_COUNTS) | st.integers(0, 3 * BLOCK))
+def test_words_equal_next64_calls(seed, count):
+    gen, ref = SplitMix64(seed), SplitMix64(seed)
+    assert gen.words(count) == [ref.next64() for _ in range(count)]
+    assert gen._state == ref._state
+    assert gen.next64() == ref.next64()
+
+
+# every edge pair runs, whatever Hypothesis draws
+for _seed, _count in product(EDGE_SEEDS, EDGE_COUNTS):
+    test_words_equal_next64_calls = example(seed=_seed, count=_count)(
+        test_words_equal_next64_calls)
+
+
+@pytest.mark.parametrize("bound", [1, 2, 3, 5, 2**63, 2**64, 2**64 + 1, 10**30])
+def test_block_draws_equal_repeated_takes(bound):
+    cell = plan(bound)
+    for count in (0, 1, 2 * BLOCK + 3):
+        ref = SplitMix64(7)
+        expected = [ref.take(cell) for _ in range(count)]
+        gen = SplitMix64(7)
+        assert list(gen.draws(cell, count)) == expected
+        assert gen._state == ref._state
+        # a one-word first block, so the draws cross many block ends
+        gen = SplitMix64(7)
+        words = Blocks(gen, 1)
+        assert [words.take(cell) for _ in range(count)] == expected
+        words.close()
+        assert gen._state == ref._state
+    # plans may change from draw to draw
+    ref, gen = SplitMix64(3), SplitMix64(3)
+    words = Blocks(gen, 5)
+    mixed = [plan(b) for b in (bound, 3, 2**64 + 1, 1) * 500]
+    assert [words.take(p) for p in mixed] == [ref.take(p) for p in mixed]
+    words.close()
+    assert gen._state == ref._state
+
+
+def sample_cli_digest(family, decode):
+    """sha256 of exit codes and stdout of CLI `sample` over a grid of n, caps, seeds and counts."""
+    from coreperim.cli import main
+
+    flag = "--e" if family == "selfconj" else "--d"
+    digest = hashlib.sha256()
+    for n, cap, seed, count in product((2, 3, 50), (0, 1, 2, 3, 2**64), (0, 7), (0, 1, 4097)):
+        if decode and cap == 2**64:
+            continue  # --decode refuses a cap wider than RANGE_LIMIT
+        argv = ["sample", "--family", family, flag, str(cap), "--n", str(n),
+                "--seed", str(seed), "--count", str(count)] + ["--decode"] * decode
+        out = io.StringIO()
+        with redirect_stdout(out):
+            code = main(argv)
+        digest.update(f"{code}\n{out.getvalue()}".encode())
+    return digest.hexdigest()
+
+
+# sample_cli_digest of the per-call sampler (the code before block draws)
+SAMPLE_CLI_SHA256 = {
+    ("core", False): "96f4095ab805664454833cf762c3d1ab202fc7024f1261bddf9c3dfa5f5e68a6",
+    ("core", True): "f561766f1fdfe3e3f18e139b230433ced35dd68261b6d37a4148beb549d18bf1",
+    ("strict", False): "5c845be2c70a89b49d949ad30b99f76d5b96ef8dfae1ad6033dda13a4b910e56",
+    ("strict", True): "ffe9dfa32ba70ded7e4b40cd68344595752c990ebad8e8325a55d8158049c8de",
+    ("selfconj", False): "8d70a1a7a714da1ec41b037e3c5fec112dc0806c68d690972b53b10089d2d828",
+    ("selfconj", True): "029f8208a9be946939d0c81c1ff5b5f016fe6de325694703d7b5faeb60c86daa",
+}
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_sample_cli_bytes_are_pinned(family):
+    assert sample_cli_digest(family, False) == SAMPLE_CLI_SHA256[family, False]
+    assert sample_cli_digest(family, True) == SAMPLE_CLI_SHA256[family, True]
+
+
+def test_import_builds_no_packing_constant():
+    script = ("import coreperim.cli\nfrom coreperim import rng\n"
+              "print(rng._packing.cache_info().currsize)")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.stdout == "0\n", proc.stderr
 
 
 def test_sampler_prefix_stability():
