@@ -18,6 +18,7 @@ from functools import partial
 
 from . import families
 from .exactdist import (
+    PMF_BYTE_BUDGET,
     RANGE_LIMIT,
     dist_statistic,
     mixture_identity_check,
@@ -252,27 +253,63 @@ def cmd_distance(args) -> int:
 
 # ----------------------------------------------------------------- sample
 
+# A decoded partition in flight takes about this many bytes a part (core d=999
+# n=1000: 511 455 parts, 3.0 MB of output, a 73 MB child peak)
+DECODE_PART_BYTES = 110
+
+
+def _refuse_held(spec: FamilySpec, count: int, decode: bool) -> None:
+    """Refuse, before the first draw, a `sample` whose vectors, lines and one
+    decode in flight may take more than PMF_BYTE_BUDGET bytes.
+
+    A line holds the vector's digits and, decoded, at most n*cap parts of at
+    most n*cap each; it is held twice, as itself and in the joined output.
+    A vector is a tuple of its coordinates, whose ints above 256 are objects
+    of their own.
+    """
+    parts = spec.n * spec.cap if decode else 0
+    coordinate = 8 + (32 if spec.cap > 256 else 0)
+    text = 64 + spec.width * (len(str(spec.cap)) + 2) + parts * (len(str(parts)) + 1)
+    need = count * (2 * text + coordinate * spec.width + 100) + parts * DECODE_PART_BYTES
+    if need > PMF_BYTE_BUDGET:
+        raise ValueError(
+            f"sample of {count} vectors at family {spec.family}, n {spec.n}, cap {spec.cap} "
+            f"refused: it may hold {need} bytes, over PMF_BYTE_BUDGET = {PMF_BYTE_BUDGET}"
+        )
+
+
 def cmd_sample(args) -> int:
     from . import codec  # only sample and verify decode
 
     spec = _spec_from(args)
     if args.seed is None:
         raise ValueError("--seed is required")
+    seed, count = int(args.seed), int(args.count)
     decode = None
     if args.decode:
         refuse_wide(spec, f"--decode at family {spec.family}, n {spec.n}, cap {spec.cap}")
         decode = codec.decode_selfconj if spec.family == "selfconj" else codec.decode_core
+    _refuse_held(spec, count, bool(decode))
     as_vector = codec.as_vector
+    if spec.cap <= 9:
+        digits = bytes.maketrans(bytes(range(10)), b"0123456789")
+
+        def entries(x):
+            # one digit a coordinate: the vector's bytes as ASCII digits
+            return bytes(x).translate(digits).decode()
+    else:
+        def entries(x):
+            return map(str, x)
 
     # the same bytes as json.dumps: the values are ints, the partition digits and commas
     def line(x) -> str:
-        head = '{"x": [' + ", ".join(map(str, x)) + "]"
+        head = '{"x": [' + ", ".join(entries(x)) + "]"
         if decode is None:
             return head + "}\n"
         return head + ', "partition": "' + str(decode(as_vector(spec, x))) + '"}\n'
 
     # the vectors are freed before the join, so the peak holds the lines and the text
-    lines = list(map(line, families.sample(spec, seed=int(args.seed), count=int(args.count))))
+    lines = list(map(line, families.sample(spec, seed=seed, count=count)))
     _write_out("".join(lines), args.out)
     return 0
 

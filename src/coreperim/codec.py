@@ -7,10 +7,23 @@ Strict cores land exactly on the vectors with no two adjacent nonzero
 entries.  A self-conjugate n-core with perimeter at most 2*e*n similarly
 maps through its main-diagonal hooks, split by odd residues 2i-1 mod 2n,
 to x in {0..e}^n with x_i * x_{n+1-i} = 0.
+
+Both decoders read one level walk (`_hooks`) that emits the hooks already
+in descending order.  Class i's run at level j is i + n*j (core) or
+2i-1 + 2n*j (self-conjugate), and the class offsets lie strictly between
+0 and the stride, so value order is (j, i) order: walking j down from
+max(x) - 1 and, on each level, i down over the classes whose run reaches
+that level (x_i > j) gives h_1 > h_2 > ... > h_l without a sort.  The hooks
+are distinct and the smallest is at least 1, so lambda_k = h_k - (l - k)
+is a partition with no check; `partitions.from_beta_set`, which sorts and
+checks, stays for beta sets from elsewhere.
 """
 from __future__ import annotations
 
 from collections import namedtuple
+from functools import cache
+from itertools import compress, count, repeat
+from operator import add, gt, mul, sub
 
 from .families import FamilySpec, resolve_stat
 from .partitions import (
@@ -18,7 +31,7 @@ from .partitions import (
     beta_set,
     column_heights,
     durfee_length,
-    from_beta_set,
+    is_beta_core,
     is_s_core,
     is_self_conjugate,
     main_diagonal_hooks,
@@ -72,32 +85,64 @@ class DiagVector(namedtuple("DiagVector", "n e x")):
             raise ValueError(f"vector must have length {n}, got {len(x)}")
         if min(x) < 0 or max(x) > e:
             raise ValueError(f"entries must lie in [0, {e}]")
-        # a bad pair shows first at its left index, so half the vector suffices
-        for i in range((n + 1) // 2):
-            if x[i] * x[n - 1 - i] != 0:
-                raise ValueError(f"entries {i + 1} and {n - i} may not both be nonzero")
+        if any(map(mul, x, reversed(x))):
+            # a bad pair shows first at its left index, so half the vector suffices
+            for i in range((n + 1) // 2):
+                if x[i] * x[n - 1 - i] != 0:
+                    raise ValueError(f"entries {i + 1} and {n - i} may not both be nonzero")
         return super().__new__(cls, n, e, x)
 
 
 def encode_core(p: Partition, n: int, d: int) -> CoreVector:
     """Map an n-core with perimeter <= d*n to its class-size vector."""
-    if not is_s_core(p, n):
+    beta = beta_set(p)
+    if not is_beta_core(beta, n):
         raise NotCoreError(f"partition {p} is not a {n}-core")
     if p.perimeter > d * n:
         raise PerimeterError(f"perimeter {p.perimeter} exceeds {d}*{n} = {d * n}")
     counts = [0] * n
-    for h in beta_set(p):
+    for h in beta:
         counts[h % n] += 1
     assert counts[0] == 0  # hooks divisible by n would violate the core property
     return CoreVector(n, d, tuple(counts[1:]))
 
 
 def decode_core(v: CoreVector) -> Partition:
-    """Rebuild the partition whose beta-set classes have sizes v.x."""
-    n = v.n
-    return from_beta_set(
-        [i + n * j for i, count in enumerate(v.x, start=1) for j in range(count)]
-    )
+    """Rebuild the partition whose beta-set classes have sizes v.x: lambda_k = h_k - (l - k)."""
+    hooks = _hooks(v.x, 1, v.n)
+    return Partition(tuple(map(sub, hooks, range(len(hooks) - 1, -1, -1))))
+
+
+def _hooks(x: tuple[int, ...], step: int, stride: int) -> list[int]:
+    """The set {step*(i-1) + 1 + stride*j : 1 <= i <= len(x), 0 <= j < x_i}, descending.
+
+    Needs step*(len(x)-1) + 1 <= stride, so that level j's values lie in
+    (stride*j, stride*(j+1)] (module docstring).  The levels between two
+    consecutive distinct entries of x, a band, share one class set, so a
+    band is one `compress` over its levels' values, descending, masked by
+    x_i > j per class, padded with zeros to the level's stride/step values,
+    and repeated once per level.  The class mask is a bytes `translate` of
+    the reversed vector while its entries fit a byte.
+    """
+    width = len(x)
+    first, pad = step * width - step + 1, bytes(stride // step - width)
+    levels = sorted({0, *x}, reverse=True)
+    if levels[0] < 256:
+        masks = map((bytes(x[::-1]) + pad).translate, map(_above, levels[1:]))
+    else:
+        rev = [*x[::-1], *pad]
+        masks = (bytes(map(gt, rev, repeat(lo))) for lo in levels[1:])
+    hooks, hi = [], levels[0]
+    for lo, mask in zip(levels[1:], masks):
+        hooks += compress(range(first + stride * (hi - 1), stride * lo, -step), mask * (hi - lo))
+        hi = lo
+    return hooks
+
+
+@cache
+def _above(lo: int) -> bytes:
+    """The `bytes.translate` table of v > lo, built on first use."""
+    return bytes(lo + 1) + b"\1" * (255 - lo)
 
 
 def stat_length(v: CoreVector) -> int:
@@ -143,15 +188,14 @@ def decode_selfconj(v: DiagVector) -> Partition:
     square, lambda_i = (h_i - 1)/2 + i; by conjugacy row j > r is column j
     of those r rows, in O(lambda_1 + r).
     """
-    rows = [(h - 1) // 2 + i for i, h in enumerate(diagonal_hooks(v), start=1)]
+    # the walk at step 1 and stride n gives (h_k + 1)/2 = i + n*j in the same order
+    rows = list(map(add, _hooks(v.x, 1, v.n), count()))
     return Partition(tuple(rows + column_heights(rows)[len(rows):]))
 
 
 def diagonal_hooks(v: DiagVector) -> tuple[int, ...]:
-    """Expand the class runs {2i-1, 2n+2i-1, ...} into the diagonal hook set."""
-    step = 2 * v.n
-    hooks = [2 * i - 1 + step * j for i, count in enumerate(v.x, start=1) for j in range(count)]
-    return tuple(sorted(hooks, reverse=True))
+    """The class runs {2i-1, 2n+2i-1, ...} as one descending diagonal hook set."""
+    return tuple(_hooks(v.x, 2, 2 * v.n))
 
 
 def stat_power_sum(v: DiagVector, k: int) -> int:

@@ -129,16 +129,34 @@ def sample(spec: FamilySpec, seed: int, count: int) -> list[tuple[int, ...]]:
         draws = gen.draws(plan(spec.cap + 1), width * count)
         return [tuple(islice(draws, width)) for _ in range(count)]
     if spec.family == "strict":
+        if spec.cap == 0:
+            return [(0,) * width] * count  # a bound of 1 at every position draws no word
         f = strict_suffix_counts(spec.n, spec.cap)
         plans = [plan(bound) for bound in f[:width]]
         # before rejections: at most one draw per coordinate, each of at most plan 0's words
         words = Blocks(gen, count * width * (1 + len(plans[0][2])))
-        vectors = [_sample_strict(words.take, f, plans) for _ in range(count)]
+        if plans[0][2]:
+            vectors = [_sample_strict(words.take, f, plans) for _ in range(count)]
+        else:
+            # one-word draws; every bound is at least f[width - 1] = cap + 1 >= 2
+            steps = [(bound, mask, f[i + 1], f[i + 2]) for i, (bound, mask, _) in enumerate(plans)]
+            vectors = [_sample_strict_words(words.next64, steps) for _ in range(count)]
         words.close()
         return vectors
-    half = spec.n // 2
-    draws = gen.draws(plan(2 * spec.cap + 1), half * count)
-    return [_sample_selfconj(spec, islice(draws, half)) for _ in range(count)]
+    n, e = spec.n, spec.cap
+    half = n // 2
+    draws = gen.draws(plan(2 * e + 1), half * count)
+    if 2 * e + 1 > 256:
+        return [_sample_selfconj(spec, islice(draws, half)) for _ in range(count)]
+    # every pair outcome fits a byte: split the outcomes into the left and the
+    # right halves of the vectors by two tables (see _sample_selfconj)
+    total, outcomes, rest = half * count, bytes(range(e + 1)), bytes(255 - 2 * e)
+    draws = bytes(draws)
+    left = draws.translate(outcomes + bytes(e) + rest)
+    right = draws.translate(bytes(e + 1) + outcomes[1:] + rest)[::-1]
+    middle = bytes(n % 2)
+    return [tuple(left[a:a + half] + middle + right[total - a - half:total - a])
+            for a in range(0, total, half)]
 
 
 def _sample_strict(take, f: list[int], plans: list) -> tuple[int, ...]:
@@ -152,6 +170,28 @@ def _sample_strict(take, f: list[int], plans: list) -> tuple[int, ...]:
         else:
             x[i] = 1 + (u - f[i + 1]) // f[i + 2]  # d values, f[i+2] completions each
             i += 2  # the next position is forced to 0
+    return tuple(x)
+
+
+def _sample_strict_words(next64, steps: list) -> tuple[int, ...]:
+    """`_sample_strict` where every bound is at least 2 and fits one word.
+
+    steps[i] is (f[i], its mask, f[i+1], f[i+2]); the draw is `take`'s: the
+    next word masked, redrawn while it is at least the bound.
+    """
+    width = len(steps)
+    x = [0] * width
+    i = 0
+    while i < width:
+        bound, mask, zero, each = steps[i]
+        u = next64() & mask
+        while u >= bound:
+            u = next64() & mask
+        if u < zero:
+            i += 1
+        else:
+            x[i] = 1 + (u - zero) // each
+            i += 2
     return tuple(x)
 
 

@@ -136,10 +136,15 @@ def is_s_core(p: Partition, s: int) -> bool:
 
     Uses the beta-set criterion: closed under subtracting s.
     """
+    return is_beta_core(beta_set(p), s)
+
+
+def is_beta_core(beta, s: int) -> bool:
+    """True iff the beta-set `beta` is closed under subtracting s (is_s_core on a built set)."""
     if s < 2:
         raise ValueError("modulus must be at least 2")
-    beta = set(beta_set(p))
-    return all(h < s or h - s in beta for h in beta)
+    present = set(beta)
+    return all(h < s or h - s in present for h in beta)
 
 
 def is_strict(p: Partition) -> bool:

@@ -18,7 +18,7 @@ from coreperim.cli import (
     main,
     parse_range,
 )
-from coreperim.exactdist import MOMENT_WORK_LIMIT
+from coreperim.exactdist import MOMENT_WORK_LIMIT, PMF_BYTE_BUDGET
 from coreperim.gaussref import RATE_CSV_HEADER
 
 
@@ -317,6 +317,43 @@ def test_a_wide_request_is_refused_before_it_is_built(capsys, name):
     assert line.startswith("error: ")
     assert line.endswith(f"refused: n and cap + 1 may each be at most RANGE_LIMIT = {RANGE_LIMIT}")
     assert peak < 1 << 20
+
+
+# `sample` requests whose vectors and lines, or one decoded partition, could
+# not fit PMF_BYTE_BUDGET: refused before the first draw.  Before the price
+# the first ran until a 20 s timeout stopped it, and the second would decode
+# about 5*10^7 parts (about 110 bytes a part in flight)
+HELD_REFUSED = {
+    "count": ["sample", "--family", "core", "--d", "2", "--n", "5", "--seed", "1",
+              "--count", "10000000000000"],
+    "parts": ["sample", "--family", "core", "--d", "9999", "--n", "10000", "--seed", "1",
+              "--count", "1", "--decode"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(HELD_REFUSED))
+def test_a_sample_that_cannot_be_held_is_refused_before_its_first_draw(capsys, name):
+    tracemalloc.start()
+    t0 = time.perf_counter()
+    try:
+        code, out, err = run(capsys, *HELD_REFUSED[name])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - t0 < 1.0
+    assert (code, out) == (1, "")
+    (line,) = err.splitlines()
+    assert line.startswith("error: sample of ")
+    assert line.endswith(f"bytes, over PMF_BYTE_BUDGET = {PMF_BYTE_BUDGET}")
+    assert peak < 1 << 20
+
+
+def test_held_refusals_leave_what_answers(capsys):
+    # the same requests, a size smaller
+    code, out, _ = run(capsys, *HELD_REFUSED["count"][:-1], "1000")
+    assert code == 0 and len(out.splitlines()) == 1000
+    code, out, _ = run(capsys, *HELD_REFUSED["parts"][:6], "30", *HELD_REFUSED["parts"][7:])
+    assert code == 0 and json.loads(out)["partition"]
 
 
 def test_wide_refusals_leave_what_answers(capsys):

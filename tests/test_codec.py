@@ -2,6 +2,7 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from coreperim.codec import (
     CodecError,
@@ -10,6 +11,7 @@ from coreperim.codec import (
     NotCoreError,
     NotSelfConjugateError,
     PerimeterError,
+    as_vector,
     decode_core,
     decode_selfconj,
     diagonal_hooks,
@@ -19,8 +21,12 @@ from coreperim.codec import (
     stat_power_sum,
     stat_size,
 )
+from coreperim.families import FAMILIES, FamilySpec, enumerate_family
 from coreperim.partitions import (
+    Partition,
+    column_heights,
     conjugate,
+    from_beta_set,
     from_parts,
     is_s_core,
     is_self_conjugate,
@@ -189,3 +195,76 @@ def test_decoded_selfconj_really_conjugate_fixed():
     for v in all_diag_vectors(6, 2):
         p = decode_selfconj(v)
         assert conjugate(p) == p
+
+
+# The decoders before the level walk, frozen as oracles: list the beta set
+# class by class, then sort it (`from_beta_set` sorts and checks).
+def frozen_decode_core(v):
+    n = v.n
+    return from_beta_set([i + n * j for i, count in enumerate(v.x, start=1) for j in range(count)])
+
+
+def frozen_diagonal_hooks(v):
+    step = 2 * v.n
+    hooks = [2 * i - 1 + step * j for i, count in enumerate(v.x, start=1) for j in range(count)]
+    return tuple(sorted(hooks, reverse=True))
+
+
+def frozen_decode_selfconj(v):
+    rows = [(h - 1) // 2 + i for i, h in enumerate(frozen_diagonal_hooks(v), start=1)]
+    return Partition(tuple(rows + column_heights(rows)[len(rows):]))
+
+
+def assert_decoders_agree(v):
+    if isinstance(v, DiagVector):
+        p, q = decode_selfconj(v), frozen_decode_selfconj(v)
+        assert diagonal_hooks(v) == frozen_diagonal_hooks(v)
+        assert encode_selfconj(p, v.n, v.e) == v
+    else:
+        p, q = decode_core(v), frozen_decode_core(v)
+        assert encode_core(p, v.n, v.d) == v
+    assert p == q and type(p.parts) is tuple
+    assert str(p) == str(q)
+
+
+def test_decoders_equal_the_sorting_oracles_on_every_member():
+    for family in FAMILIES:
+        for n in range(2, 8):
+            for cap in range(4):
+                spec = FamilySpec(family, n, cap)
+                for x in enumerate_family(spec):
+                    assert_decoders_agree(as_vector(spec, x))
+
+
+# the caps on both sides of every byte form: one digit, one byte, a translate table
+EDGE_CAPS = (0, 1, 9, 10, 127, 128, 255, 256, 300)
+
+
+@st.composite
+def edge_vectors(draw):
+    family = draw(st.sampled_from(FAMILIES))
+    n, cap = draw(st.integers(2, 60)), draw(st.sampled_from(EDGE_CAPS))
+    spec = FamilySpec(family, n, cap)
+    x = draw(st.lists(st.integers(0, cap), min_size=spec.width, max_size=spec.width))
+    if family == "strict":
+        x = [0 if i and x[i - 1] else v for i, v in enumerate(x)]
+    elif family == "selfconj":
+        # the right entry of a pair, and the middle of odd n, yield to the left
+        x = [0 if i >= n - 1 - i and x[n - 1 - i] else v for i, v in enumerate(x)]
+    # half the draws reach the cap, so max(x) sits on the edge itself
+    if draw(st.booleans()):
+        i = draw(st.integers(0, spec.width - 1)) if family != "selfconj" else 0
+        x[i] = cap
+        if family == "strict":
+            for j in (i - 1, i + 1):
+                if 0 <= j < len(x):
+                    x[j] = 0
+        elif family == "selfconj":
+            x[n - 1] = 0
+    return as_vector(spec, tuple(x))
+
+
+@settings(max_examples=150, deadline=None)
+@given(v=edge_vectors())
+def test_decoders_equal_the_sorting_oracles_at_the_byte_edges(v):
+    assert_decoders_agree(v)

@@ -363,7 +363,15 @@ def reference_sample(spec, seed, count):
     return vectors, calls
 
 
-@pytest.mark.parametrize("key", [*V1_EDGE_STREAMS, *V1_PLAN_STREAMS],
+# specs on both sides of the samplers' fast paths: selfconj with 2e + 1 = 255
+# and 257 pair outcomes (byte tables or not), and strict at the last n whose
+# suffix counts fit one word (the word loop) and the first n past it (`take`)
+PATH_EDGE_SPECS = (("selfconj", 12, 127), ("selfconj", 13, 128),
+                   *(("strict", n, d) for d, last in ((1, 92), (2, 64), (3, 53))
+                     for n in (last, last + 1)))
+
+
+@pytest.mark.parametrize("key", [*V1_EDGE_STREAMS, *V1_PLAN_STREAMS, *PATH_EDGE_SPECS],
                          ids=lambda k: "-".join(map(str, k)))
 def test_sample_equals_the_per_call_reference(monkeypatch, key):
     # the block draws give the per-call sampler's vectors, and the state's
@@ -428,13 +436,14 @@ def test_block_draws_equal_repeated_takes(bound):
     assert gen._state == ref._state
 
 
-def sample_cli_digest(family, decode):
+def sample_cli_digest(family, decode,
+                      grid=((2, 3, 50), (0, 1, 2, 3, 2**64), (0, 7), (0, 1, 4097))):
     """sha256 of exit codes and stdout of CLI `sample` over a grid of n, caps, seeds and counts."""
     from coreperim.cli import main
 
     flag = "--e" if family == "selfconj" else "--d"
     digest = hashlib.sha256()
-    for n, cap, seed, count in product((2, 3, 50), (0, 1, 2, 3, 2**64), (0, 7), (0, 1, 4097)):
+    for n, cap, seed, count in product(*grid):
         if decode and cap == 2**64:
             continue  # --decode refuses a cap wider than RANGE_LIMIT
         argv = ["sample", "--family", family, flag, str(cap), "--n", str(n),
@@ -461,6 +470,28 @@ SAMPLE_CLI_SHA256 = {
 def test_sample_cli_bytes_are_pinned(family):
     assert sample_cli_digest(family, False) == SAMPLE_CLI_SHA256[family, False]
     assert sample_cli_digest(family, True) == SAMPLE_CLI_SHA256[family, True]
+
+
+# the caps where the CLI's byte forms change: one digit, one byte, one translate table
+SAMPLE_CLI_EDGE_GRID = ((3, 11), (9, 10, 127, 128, 255, 256), (0, 7), (300,))
+
+
+# sample_cli_digest over SAMPLE_CLI_EDGE_GRID, of the code before the level-walk decoders
+SAMPLE_CLI_EDGE_SHA256 = {
+    ("core", False): "b9f28552d73b02a84bca42c3fc19fff3021f9939d8680776059ff7fb117f3470",
+    ("core", True): "02cfd6ef075f9ae89f4addd3087bb33e2cad874042a5ef6a4c5fbfcf337757bc",
+    ("strict", False): "0de7a855c636ff71d0ab3a05c9a7f71919a210bc3bcd62aa9f5234934d65d1a6",
+    ("strict", True): "1d6c473bceebcb735d33d5b808f034c3284be539e6c281e8324268ca415e4108",
+    ("selfconj", False): "6b30b2db26c823737b1fa4ba891f5f400f49467d9d986ad70ee1d365b978cca6",
+    ("selfconj", True): "b07b828cec201ebd992369ebf5ac40d4dc43be2174d036c4e25b838f587353fb",
+}
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_sample_cli_bytes_are_pinned_at_the_byte_edges(family):
+    for decode in (False, True):
+        digest = sample_cli_digest(family, decode, SAMPLE_CLI_EDGE_GRID)
+        assert digest == SAMPLE_CLI_EDGE_SHA256[family, decode]
 
 
 def test_import_builds_no_packing_constant():
