@@ -20,10 +20,10 @@ from . import families
 from .exactdist import (
     PMF_BYTE_BUDGET,
     RANGE_LIMIT,
+    _Law,
     dist_statistic,
     mixture_identity_check,
     moment_report,
-    refuse_moments,
     refuse_wide,
 )
 from .families import ENUMERATION_LIMIT, FamilySpec
@@ -147,7 +147,7 @@ def _moment_column(job):
 
 def _check_moment_request(family: str, cap: int, ns: list[int], ks: list[int], stat) -> None:
     """Refuse, before any work, a table with no standardized moments to print
-    or one whose last, dearest column `refuse_moments` refuses."""
+    or one whose last, dearest column `_Law.refuse` refuses."""
     if ks[0] < 3:
         raise ValueError(
             f"--k must start at 3 or above (m1 = 0 and m2 = 1 always), got {ks[0]}"
@@ -160,7 +160,7 @@ def _check_moment_request(family: str, cap: int, ns: list[int], ks: list[int], s
             f"zero variance at family {family}, stat {stat}, n {ns[0]}, cap 0: "
             "standardized moments are undefined"
         )
-    refuse_moments(FamilySpec(family, ns[-1], cap), stat, ks[-1])
+    _Law.of(FamilySpec(family, ns[-1], cap), stat).refuse(ks[-1])
 
 
 def cmd_moments(args) -> int:
@@ -354,10 +354,7 @@ def _verify_checks(quick: bool, limit: int):
             )
         ),
     )
-    yield (
-        "pinned partition codec example",
-        lambda: _pinned_example(),
-    )
+    yield "pinned partition codec example", _pinned_example
     yield (
         "mixture identity",
         lambda: all(

@@ -26,17 +26,20 @@ A request builds its `_Law` once, and both folds read its moves:
     never exceeds the total path count N, and L >= bits(N) gives N < 2^L.
     The zero extension of every prefix is a member of the (unconditioned)
     family, so its statistic is >= 0 and a shift to the right drops only
-    empty lanes.  The fold's bytes and time are bounded before its first
-    step and refused above PMF_BYTE_BUDGET and PMF_SECONDS_LIMIT.
+    empty lanes.  The fold is priced in bytes and seconds before its first
+    step and refused above PMF_BYTE_BUDGET or SECONDS_LIMIT.
   * `_fold_power_sums` carries exact power sums per state, with no pmf,
     reading a move as (t,) on one lane and (A, V) = (da, 2t + da) for size.
 
-`power_sums` (and so `moment_report`) takes, per column, whichever of the
-two gives its power sums with the smaller work estimate, read off the law
-before either runs (`sums_engine`; the pmf at the price that refuses it):
-small columns are read off the pmf, large ones fold, and so do the selfconj
-`power:2` and `power:3` columns, whose pmfs are wide.  Both are exact
-integer folds, so the choice never changes a printed digit.
+One price covers a whole request (`_Law.price`): the seconds of each term it
+runs, from one table of weights (PRICE_FS), and the bytes it holds.
+`power_sums` (and so `moment_report`) takes, per column, the cheaper of the
+two engines that fits (`sums_engine`): small columns are read off the pmf,
+large ones fold, and so do the selfconj `power:2` and `power:3` columns,
+whose pmfs are wide.  Both are exact integer folds, so the choice never
+changes a printed digit.  The same price refuses, in one line that names
+its seconds or bytes (`_Law.refuse`), a pmf or a `moments` request too
+dear to run.
 
 All weights stay arbitrary-precision integers; floats appear only when a
 standardized moment is finally printed.
@@ -48,7 +51,7 @@ from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import compress, count, product
-from math import comb, prod
+from math import ceil, comb, lcm, prod
 from operator import getitem
 from struct import calcsize
 from typing import Iterator
@@ -68,8 +71,6 @@ __all__ = [
     "dist_statistic",
     "moments",
     "moment_report",
-    "refuse_moments",
-    "MOMENT_WORK_LIMIT",
     "power_sums",
     "fold_power_sums",
     "sums_engine",
@@ -78,29 +79,44 @@ __all__ = [
     "legal_supports",
 ]
 
-# A pmf whose fold and decoded atoms could take more bytes than this is
-# refused before the fold's first step; `moments` reaches such statistics
-# without a pmf.  A decoded atom takes at most about _ATOM_BYTES: its dict
-# entries, DiscreteDist's sorted copy and a `dist` output line (250-300
-# measured at 3- to 12-byte weights).
+# A request whose price (`_Law.price`) passes PMF_BYTE_BUDGET bytes or
+# SECONDS_LIMIT seconds is refused before its first fold step; `moments`
+# reaches wide statistics without a pmf.  A decoded atom takes at most about
+# _ATOM_BYTES: its dict entries, DiscreteDist's sorted copy and a `dist`
+# output line (250-300 measured at 3- to 12-byte weights).
 PMF_BYTE_BUDGET = 1280 << 20
 _ATOM_BYTES = 320
+SECONDS_LIMIT = 30
 # --n and --k spans wider than this are refused before their list is built,
-# and so are a law's n and the values {0..cap} of its coordinates (`refuse_wide`)
+# and so are a law's n, the values {0..cap} of its coordinates (`refuse_wide`)
+# and the exponent of a power sum
 RANGE_LIMIT = 10_000
 # a law of more than about n*(cap + 1) moves is refused before it is built:
 # 10^6 moves took 0.55 s and 110 MiB to build (core length d=999 n=1000)
 MOVE_LIMIT = 100_000
-# The pmf fold shifts and adds, per move and (state, a) entry, an integer of
-# up to the widest layer's bytes, so moves * (a_top + 1) * (t_top + 1) * width
-# bounds its work.  With CPython 3.11 on x86-64 a unit took 0.3-1.5 ns on a
-# one-lane law (core length d=3 n=1600: 1.2e10 units, 10.5 s) and 0.03-0.16
-# ns on size, whose entries the bound over-counts (strict size d=2 n=160:
-# 2.1e11 units, 6.8 s).  Priced at PMF_UNIT_NS (one lane, size) a unit, a
-# fold estimated past PMF_SECONDS_LIMIT is refused before its first step;
-# `_Law.engine` reads the same price.
-PMF_UNIT_NS = (0.75, 0.0625)
-PMF_SECONDS_LIMIT = 30
+
+# Femtoseconds a unit of each term of `_Law.price`, fitted by the script in
+# BENCH_28.json to in-process doubling curves (CPython 3.11.7, x86-64, a shared
+# 2-vCPU VM): least squares in relative error, then scaled so that each term
+# bounds every point measured at 0.05 s or more.  With E = moves * (a_top + 1),
+# L = t_top + 1 lanes, B = L * width bytes and b = bits(N) + bits(t_top):
+#   pmf entry, byte 1|2, cache, lane: `_fold_pmf`, per pair of E; per pair and
+#     byte of B, by lane count; per pair and byte of B past _L2_BYTES (one L2
+#     cache there); per lane of L (`decode_lanes` and the atoms' dict)
+#   pass atom, word: `DiscreteDist.power_sums`, per atom (at most min(L, N)) and
+#     order; per atom, order and 64-bit word of the power it adds
+#   fold term, word, move: `_fold_power_sums`, per plan term and working
+#     transition; per term, transition and squared word of the sums; per move
+#     and index entry of its contribution tables
+#   report word, gcd, round: `_report`, per k_max^3 * b / 64 (its triangle); per
+#     k_max^3 * (b / 64)^2 (a Fraction per order); per k_max^3 * (b' / 64)^2,
+#     b' = bits(t_top) + bits(`_Law.den`) (the standardized roundings)
+PRICE_FS = {"pmf entry": 228_000_000, "pmf byte 1": 318_000, "pmf byte 2": 51_600,
+            "pmf cache": 35_100, "pmf lane": 31_100_000, "pass atom": 27_900_000,
+            "pass word": 2_780_000, "fold term": 74_000_000, "fold word": 270_000,
+            "fold move": 480_000_000, "report word": 588_000, "report gcd": 1_130_000,
+            "report round": 18_000_000}
+_L2_BYTES = 1 << 20
 
 
 def refuse_wide(spec: FamilySpec, what: str) -> None:
@@ -221,112 +237,115 @@ class _Law:
     `lanes` is None for a law that has only a pmf.  `paths` is N, from a
     fold of plain counts; `width` is L/8, ceil(bits(N)/8) bytes rounded up
     to 1, 2, 4 or 8 when it is at most 8, so that `decode_lanes` casts.
-    With a_top and t_top the sums over the steps of the largest da and t,
-    a layer holds at most states*(a_top + 1) integers of t_top + 1 lanes
-    (0 <= u <= T), and the pmf at most min(t_top + 1, N) atoms.
+    The same fold carries, per state, the largest a and T over the paths
+    into it: a_top and t_top bound them on every path and prefix (whose
+    zero extension is a path), so a layer holds at most states*(a_top + 1)
+    integers of t_top + 1 lanes, and the pmf min(t_top + 1, N) atoms.
+    `den` is what the moments reduce over: N, or for one state, whose
+    coordinates are independent, the lcm of the step totals.
     """
 
     def __init__(self, label: str, states: int, steps: list, lanes: int | None):
         self.label, self.states, self.steps, self.lanes = label, states, steps, lanes
-        counts = [1] + [0] * (states - 1)
+        counts, a_top, t_top = [1] + [0] * (states - 1), [0] * states, [0] * states
         for transitions in steps:
-            nxt = [0] * states
+            nxt, a_nxt, t_nxt = [0] * states, [0] * states, [0] * states
             for src, dst, moves in transitions:
-                nxt[dst] += counts[src] * moves.total()
-            counts = nxt
-        self.paths = sum(counts)
+                if counts[src] and moves:
+                    nxt[dst] += counts[src] * moves.total()
+                    a_nxt[dst] = max(a_nxt[dst], a_top[src] + max(da for da, _ in moves))
+                    t_nxt[dst] = max(t_nxt[dst], t_top[src] + max(t for _, t in moves))
+            counts, a_top, t_top = nxt, a_nxt, t_nxt
+        self.paths, self.a_top, self.t_top = sum(counts), max(a_top), max(t_top)
         self.moves = sum(len(moves) for tr in steps for *_, moves in tr)
         width = -(-self.paths.bit_length() // 8)
         self.width = width if width > 8 else 1 << (width - 1).bit_length()  # a cast decode
-        self.a_top = sum(max(da for *_, moves in tr for da, _ in moves) for tr in steps)
-        self.t_top = sum(max(t for *_, moves in tr for _, t in moves) for tr in steps)
+        self.den = lcm(*{m.total() for tr in steps for *_, m in tr}) if states == 1 else self.paths
 
     @classmethod
     def of(cls, spec: FamilySpec, stat) -> "_Law":
+        """The law of `stat` over `spec`, refused before `_automaton` builds it if its
+        n, cap + 1 or power exponent passes RANGE_LIMIT, its moves MOVE_LIMIT, or
+        its power sums' moves (about k*bits(2n*cap) bits each) PMF_BYTE_BUDGET."""
         label = f"family {spec.family}, stat {stat}, n {spec.n}, cap {spec.cap}"
         refuse_wide(spec, label)
-        if spec.n * (spec.cap + 1) > MOVE_LIMIT:
+        moves = spec.n * (spec.cap + 1)
+        if moves > MOVE_LIMIT:
             raise ValueError(f"{label} refused: its automaton has about n*(cap + 1) = "
-                             f"{spec.n * (spec.cap + 1)} moves, over MOVE_LIMIT = {MOVE_LIMIT}")
+                             f"{moves} moves, over MOVE_LIMIT = {MOVE_LIMIT}")
+        kind, k = resolve_stat(spec.family, stat)
+        if kind == "power" and k > RANGE_LIMIT:
+            raise ValueError(f"{label} refused: the exponent of power:k may be at most "
+                             f"RANGE_LIMIT = {RANGE_LIMIT}")
+        held = moves * (k * (2 * spec.n * spec.cap).bit_length() // 8) if kind == "power" else 0
+        if held > PMF_BYTE_BUDGET:
+            raise ValueError(f"{label} refused: its moves may hold {_figure(held)} bytes, "
+                             f"over PMF_BYTE_BUDGET = {PMF_BYTE_BUDGET}")
         return cls(label, *_automaton(spec, stat))
 
-    @property
-    def need(self) -> int:
-        """Bytes of the widest layer's lanes plus the atoms at _ATOM_BYTES each."""
-        return (self.t_top + 1) * (self.states * (self.a_top + 1) * self.width + _ATOM_BYTES)
+    def price(self, k_max: int | None = None) -> tuple[str, Fraction, int]:
+        """(engine, seconds, bytes) of the power sums up to k_max and their
+        `_report`, or of the pmf alone when k_max is None, from PRICE_FS: "pmf"
+        (`_fold_pmf`, then its atoms' sums) or "fold" (`_fold_power_sums`, in
+        its reach), the cheaper of those that fit SECONDS_LIMIT and
+        PMF_BYTE_BUDGET, or of all.  Femtoseconds stay exact integers, so no
+        price overflows however wide the law."""
+        w, lanes, top = PRICE_FS, 2 if self.a_top else 1, self.t_top + 1
+        entries, layer = self.moves * (self.a_top + 1), top * self.width
+        pmf_fs = entries * (w["pmf entry"] + w[f"pmf byte {lanes}"] * layer
+                            + w["pmf cache"] * max(0, layer - _L2_BYTES)) + w["pmf lane"] * top
+        pmf_bytes = top * (self.states * (self.a_top + 1) * self.width + _ATOM_BYTES)
+        offers = [("pmf", pmf_fs, pmf_bytes)]
+        if k_max is not None:
+            bits_n, bits_t = self.paths.bit_length(), self.t_top.bit_length()
+            b, b_den = bits_n + bits_t, self.den.bit_length() + bits_t
+            report = k_max**3 * (w["report word"] * 64 * b + w["report gcd"] * b * b
+                                 + w["report round"] * b_den * b_den) // 4096
+            held = (k_max + 1) ** 2 * b // 8  # the triangle's row and the moments
+            atom_fs = w["pass atom"] + w["pass word"] * ((k_max * bits_t // 2 + bits_n) // 64)
+            pmf_fs += min(top, self.paths) * (k_max + 1) * atom_fs + report
+            offers = [("pmf", pmf_fs, pmf_bytes + held)]
+            if k_max <= _fold_reach(self.lanes):
+                index = _sum_index(self.lanes, k_max)
+                working = [len(moves) for tr in self.steps for *_, moves in tr if moves != _IDLE]
+                term_fs = w["fold term"] + w["fold word"] * ((k_max * bits_t + bits_n) // 64) ** 2
+                fold_fs = (_plan_terms(index) * len(working) * term_fs
+                           + w["fold move"] * sum(working) * len(index))
+                offers.insert(0, ("fold", fold_fs + report, held))
+        fits = [offer for offer in offers
+                if offer[1] <= SECONDS_LIMIT * 10**15 and offer[2] <= PMF_BYTE_BUDGET]
+        engine, fs, need = min(fits or offers, key=lambda offer: offer[1])
+        return engine, Fraction(fs, 10**15), need
 
-    @property
-    def seconds(self) -> float:
-        """The pmf fold's time estimate: PMF_UNIT_NS a unit of moves * widest layer bytes."""
-        units = self.moves * (self.a_top + 1) * (self.t_top + 1) * self.width
-        return units * PMF_UNIT_NS[self.a_top > 0] / 1e9
-
-    @property
-    def pmf_refusal(self) -> str:
-        """Why `_fold_pmf` may not run: "" once it fits PMF_BYTE_BUDGET and PMF_SECONDS_LIMIT."""
-        if self.need > PMF_BYTE_BUDGET:
-            return f"it may need {self.need} bytes, over PMF_BYTE_BUDGET = {PMF_BYTE_BUDGET}"
-        if self.seconds > PMF_SECONDS_LIMIT:
-            return (f"its fold is estimated at {self.seconds:.0f} s, "
-                    f"over PMF_SECONDS_LIMIT = {PMF_SECONDS_LIMIT}")
-        return ""
+    def refuse(self, k_max: int | None = None) -> None:
+        """Refuse, in one line, what `price(k_max)` puts past PMF_BYTE_BUDGET or
+        SECONDS_LIMIT; a pmf refusal tells how far `moments` reaches without one."""
+        engine, seconds, need = self.price(k_max)
+        if need > PMF_BYTE_BUDGET:
+            cost = f"need {_figure(need)} bytes, over PMF_BYTE_BUDGET = {PMF_BYTE_BUDGET}"
+        elif seconds > SECONDS_LIMIT:
+            cost = f"take {_figure(ceil(seconds))} s, over SECONDS_LIMIT = {SECONDS_LIMIT}"
+        else:
+            return
+        why = ("it" if k_max is None else f"its moments up to order {k_max}") + " may " + cost
+        reach = engine == "pmf" and self.lanes and _fold_reach(self.lanes)
+        if reach and (k_max is None or k_max > reach):
+            why += f"; `moments` reaches its orders up to {reach} without a pmf"
+        raise ValueError(f"{'pmf' if engine == 'pmf' else 'power-sum fold'} of {self.label} "
+                         f"refused: {why}")
 
     def pmf(self) -> dict[int, int]:
-        """`_fold_pmf` unless `pmf_refusal` says why not, in one refusal line.
-
-        A statistic of the family (`lanes` given) is told how far `moments`
-        reaches it by the power-sum fold, which needs no pmf.
-        """
-        why = self.pmf_refusal
-        if not why:
-            return _fold_pmf(self)
-        reach = "" if self.lanes is None else (
-            f"; `moments` reaches its orders up to {_fold_reach(self.lanes)} without a pmf"
-        )
-        raise ValueError(f"pmf of {self.label} refused: {why}{reach}")
-
-    def engine(self, k_max: int) -> str:
-        """"fold" or "pmf": the engine that gives the power sums up to k_max
-        with the smaller work estimate (see FOLD_TERM_NS)."""
-        if k_max > _fold_reach(self.lanes):
-            return "pmf"
-        if self.pmf_refusal:
-            return "fold"
-        terms = _plan_terms(_sum_index(self.lanes, k_max))
-        fold_ns = FOLD_TERM_NS[self.lanes] * terms * sum(map(len, self.steps))
-        pmf_ns = self.seconds * 1e9 + ATOM_ORDER_NS * (self.t_top + 1) * (k_max + 1)
-        return "pmf" if pmf_ns < fold_ns else "fold"
-
-    def refuse_moments(self, k_max: int) -> None:
-        """Refuse `moment_report` up to k_max, before any fold, if its moment reduction
-        or the pmf pass that gives its sums is estimated past MOMENT_WORK_LIMIT."""
-        bits_n, bits_t = self.paths.bit_length(), self.t_top.bit_length()  # max s <= t_top
-        what, work = "its moment reduction is", k_max**3 * (bits_n + bits_t)
-        if work <= MOMENT_WORK_LIMIT and self.engine(k_max) == "pmf" and self.need <= PMF_BYTE_BUDGET:
-            what, work = "the power sums of its pmf are", (
-                min(self.t_top + 1, self.paths) * (k_max + 1) * (k_max * bits_t + bits_n) // 64)
-        if work > MOMENT_WORK_LIMIT:
-            raise ValueError(f"--k up to {k_max} at {self.label} refused: {what} estimated at "
-                             f"{work} units of work, over MOMENT_WORK_LIMIT = {MOMENT_WORK_LIMIT}")
+        """`_fold_pmf`, unless `refuse` refuses it."""
+        self.refuse()
+        return _fold_pmf(self)
 
 
-# `_report`'s triangle makes about k_max^2 / 2 products of integers up to
-# k_max * b bits, b = bits(N) + bits(max s), then one Fraction and one exact
-# rounding per order, so k_max^3 * b estimates its work.  With CPython 3.11
-# on x86-64 a unit took 0.05-0.8 ns, so a request just under the limit runs
-# 0.1-1.6 s: core length d=3 at n=5 (k_max 535, b 13) 0.09 s, at n=200 (169,
-# 409) 0.4 s; strict length d=2 n=100 (264, 108) 1.6 s, 1.3 of it rounding.
-# Where the pmf gives the sums, its pass makes k_max products per atom, at
-# most min(t_top + 1, N) atoms, of up to k_max * bits(t_top) + bits(N) bits,
-# so atoms * (k_max + 1) * (k_max * bits(t_top) + bits(N)) / 64 estimates it:
-# 1.4-6 ns a unit, about 4 on selfconj power:3 e=2 at k_max 200, where n=14
-# (9.9e8 units, 3.7 s) answers and n=16 (5.2e9, about 16 s) is refused.
-MOMENT_WORK_LIMIT = 2 * 10**9
+_IDLE = Counter({(0, 0): 1})  # a transition that leaves the power sums as they are
 
 
-def refuse_moments(spec: FamilySpec, stat, k_max: int) -> None:
-    """`_Law.refuse_moments`: refuse `moment_report(spec, stat, k_max)` before any fold."""
-    _Law.of(spec, stat).refuse_moments(k_max)
+def _figure(x: int) -> str:
+    """x in a refusal line: its digits below 10^15, else 1.23e+45, or 2^bits past a float."""
+    return str(x) if x < 10**15 else f"{x:.2e}" if x.bit_length() < 1000 else f"2^{x.bit_length()}"
 
 
 class MomentReport(namedtuple("MomentReport", "mean variance central standardized "
@@ -365,13 +384,8 @@ def _report(raw: list[int], k_max: int, meta: dict) -> MomentReport:
         for k in range(1, k_max + 1):
             mk = central[k]  # m_k^2 = mu_k^2 / mu_2^k, signed as mu_k
             standardized[k] = round_half_away((mk > 0) - (mk < 0), mk * mk / variance**k)
-    return MomentReport(
-        mean=Fraction(raw[1], raw[0]),
-        variance=variance,
-        central=tuple(central[: k_max + 1]),
-        standardized=standardized,
-        **meta,
-    )
+    mean, central = Fraction(raw[1], raw[0]), tuple(central[: k_max + 1])
+    return MomentReport(mean, variance, central, standardized, **meta)
 
 
 # ---------------------------------------------------------- moment engine
@@ -390,35 +404,23 @@ def _report(raw: list[int], k_max: int, meta: dict) -> MomentReport:
 # allocates a huge plan, and a pmf over PMF_BYTE_BUDGET is refused.
 FOLD_PLAN_LIMIT = 20_000
 
-# Below the cap `power_sums` takes whichever exact engine its work estimate
-# calls cheaper, in rough nanoseconds:
-#   fold  FOLD_TERM_NS[lanes] * plan terms * transitions of the automaton,
-#   pmf   the fold's own price `_Law.seconds` (PMF_UNIT_NS, which also refuses)
-#         + ATOM_ORDER_NS * (t_top + 1) * (k_max + 1), the pass over the atoms.
-# The weights were fitted to the crossover curve in BENCH_14.json (CPython
-# 3.11, x86-64); only their ratios decide, and the columns they send the
-# slower way lie at a crossover, where the two engines are within about a
-# quarter of each other.
-FOLD_TERM_NS = {1: 800, 2: 200}
-ATOM_ORDER_NS = 100
-
 
 def power_sums(spec: FamilySpec, stat, k_max: int) -> list[int]:
     """[sum of s^j over the family, j = 0..k_max] for the statistic s.
 
     Two exact integer engines give the same list: the power-sum fold
     (`_fold_sums`) and the pmf's own sums.  `sums_engine` picks the one
-    with the smaller work estimate, before either runs.
+    `_Law.price` calls cheaper, before either runs.
     """
     law = _Law.of(spec, stat)
-    if law.engine(k_max) == "pmf":
+    if law.price(k_max)[0] == "pmf":
         return DiscreteDist(law.pmf()).power_sums(k_max)
     return _fold_sums(law, k_max)
 
 
 def sums_engine(spec: FamilySpec, stat, k_max: int) -> str:
     """"fold" or "pmf": the engine `power_sums(spec, stat, k_max)` takes."""
-    return _Law.of(spec, stat).engine(k_max)
+    return _Law.of(spec, stat).price(k_max)[0]
 
 
 def fold_power_sums(spec: FamilySpec, stat, k_max: int) -> list[int]:
@@ -483,7 +485,7 @@ def _fold_power_sums(law: _Law, index: list[tuple[int, ...]]) -> list[int]:
         nxt = [zero] * law.states
         for src, dst, moves in transitions:
             sums = layer[src]
-            if list(moves.items()) != [((0, 0), 1)]:
+            if moves != _IDLE:
                 # U[e] = sum over moves of m * prod_j c_j^e_j, from per-lane power tables
                 tables = [
                     (m, [[c**g for g in range(top + 1)] for c, top in zip(as_lanes(*mv), tops)])

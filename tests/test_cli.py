@@ -18,7 +18,7 @@ from coreperim.cli import (
     main,
     parse_range,
 )
-from coreperim.exactdist import MOMENT_WORK_LIMIT, PMF_BYTE_BUDGET
+from coreperim.exactdist import PMF_BYTE_BUDGET, SECONDS_LIMIT
 from coreperim.gaussref import RATE_CSV_HEADER
 
 
@@ -243,13 +243,15 @@ def test_dist_over_the_step_limit_is_refused():
 # reads the power sums off the pmf, which is refused here
 PMF_REFUSED = ["moments", "--family", "selfconj", "--stat", "power:3", "--e", "2",
                "--n", "21", "--k", "3..300"]
-# orders whose moment reduction is estimated past MOMENT_WORK_LIMIT
+# the first order whose moment reduction is priced past SECONDS_LIMIT (3..4283
+# is priced at 29.99 s and ran in 16 s, BENCH_28.json)
 K_REFUSED = ["moments", "--family", "core", "--stat", "length", "--d", "3", "--n", "5",
-             "--k", "3..3000"]
-# past the fold's reach, a pmf within its byte budget whose power-sum pass is
-# estimated past MOMENT_WORK_LIMIT (about 16 s if run); n=12 answers in about 1 s
+             "--k", "3..4284"]
+# past the fold's reach, the first n whose pmf and power-sum pass are priced
+# past SECONDS_LIMIT (n=17 is priced at 9.6 s and ran in 5.4 s); n=12 answers
+# in about 1 s
 PASS_REFUSED = ["moments", "--family", "selfconj", "--stat", "power:3", "--e", "2",
-                "--n", "16", "--k", "3..200"]
+                "--n", "18", "--k", "3..200"]
 
 
 def test_moments_past_the_fold_reach_refuses_the_pmf_in_one_true_line(capsys):
@@ -266,12 +268,12 @@ def test_moment_orders_are_bounded_before_any_fold(capsys):
     assert time.perf_counter() - t0 < 1.0
     assert (code, out) == (1, "")
     assert err == (
-        "error: --k up to 3000 at family core, stat length, n 5, cap 3 refused: its moment "
-        f"reduction is estimated at {3000**3 * (9 + 4)} units of work, over "
-        f"MOMENT_WORK_LIMIT = {MOMENT_WORK_LIMIT}\n"
+        "error: pmf of family core, stat length, n 5, cap 3 refused: its moments up to order "
+        f"4284 may take 31 s, over SECONDS_LIMIT = {SECONDS_LIMIT}; `moments` reaches its "
+        "orders up to 198 without a pmf\n"
     )
-    code, out, _ = run(capsys, *K_REFUSED[:-1], "3..400")
-    assert code == 0 and len(out.splitlines()) == 399
+    code, out, _ = run(capsys, *K_REFUSED[:-1], "3..800")
+    assert code == 0 and len(out.splitlines()) == 799
 
 
 def test_the_pmf_pass_past_the_fold_reach_is_bounded(capsys):
@@ -280,9 +282,9 @@ def test_the_pmf_pass_past_the_fold_reach_is_bounded(capsys):
     assert time.perf_counter() - t0 < 1.0
     assert (code, out) == (1, "")
     assert err == (
-        "error: --k up to 200 at family selfconj, stat power:3, n 16, cap 2 refused: the power "
-        "sums of its pmf are estimated at 5175897216 units of work, over "
-        f"MOMENT_WORK_LIMIT = {MOMENT_WORK_LIMIT}\n"
+        "error: pmf of family selfconj, stat power:3, n 18, cap 2 refused: its moments up to "
+        f"order 200 may take 49 s, over SECONDS_LIMIT = {SECONDS_LIMIT}; `moments` reaches its "
+        "orders up to 198 without a pmf\n"
     )
     code, out, _ = run(capsys, *PASS_REFUSED[:-3], "12", "--k", "3..200")
     assert code == 0 and len(out.splitlines()) == 199
@@ -367,20 +369,31 @@ def test_wide_refusals_leave_what_answers(capsys):
     assert (code, err) == (0, "") and out.splitlines()[0] == "k,10000"
 
 
-# requests priced before they are built: the first two by their automaton's
-# moves (MOVE_LIMIT), the last two by their pmf fold's time (PMF_SECONDS_LIMIT).
+# requests priced before they are built: two by their automaton's moves
+# (MOVE_LIMIT), two by their pmf fold's time (SECONDS_LIMIT), and three power
+# sums by their exponent (RANGE_LIMIT) or their moves' bytes (PMF_BYTE_BUDGET).
 # Before these prices the first began building 10^8 moves (a MemoryError after
 # 5.5 s under a 1.5 GB address-space limit), the second 10^6 moves, and the
-# folds of the last two were estimated at 2 250 s and 911 s
+# folds of the next two were estimated at 2 250 s and 911 s; `power:2000000`
+# spent 3.2 s building its moves, `power:99999999` ran past a 20 s timeout, and
+# the last would build 95 000 moves of up to about 22 KB each
 PRICED_REFUSED = {
     "moves": (["dist", "--family", "core", "--stat", "length", "--d", "9999", "--n", "9999"],
               "moves, over MOVE_LIMIT = 100000"),
     "moves-per-coordinate": (["dist", "--family", "core", "--stat", "length", "--d", "9999",
                               "--n", "100"], "moves, over MOVE_LIMIT = 100000"),
     "fold-steps": (["dist", "--family", "core", "--stat", "length", "--d", "3", "--n", "10000"],
-                   "its fold is estimated at 2250 s, over PMF_SECONDS_LIMIT = 30"),
+                   "it may take 1058 s, over SECONDS_LIMIT = 30"),
     "fold-moves": (["distance", "--family", "core", "--stat", "length", "--d", "999", "--n", "100"],
-                   "its fold is estimated at 911 s, over PMF_SECONDS_LIMIT = 30"),
+                   "it may take 426 s, over SECONDS_LIMIT = 30"),
+    "power-exponent": (["dist", "--family", "selfconj", "--e", "2", "--n", "5",
+                        "--stat", "power:2000000"], "power:k may be at most RANGE_LIMIT = 10000"),
+    "power-exponent-huge": (["dist", "--family", "selfconj", "--e", "2", "--n", "5",
+                             "--stat", "power:99999999"],
+                            "power:k may be at most RANGE_LIMIT = 10000"),
+    "power-move-bytes": (["dist", "--family", "selfconj", "--e", "9", "--n", "10000",
+                          "--stat", "power:10000"],
+                         "its moves may hold 2250000000 bytes, over PMF_BYTE_BUDGET = 1342177280"),
 }
 
 
@@ -405,6 +418,20 @@ def test_priced_refusals_leave_what_answers(capsys):
     # the pmf is refused, and `moments` folds the same law without one
     code, out, err = run(capsys, "moments", *PRICED_REFUSED["fold-moves"][0][1:], "--k", "3..4")
     assert (code, err) == (0, "") and out.splitlines() == ["k,100", "3,0.000", "4,2.988"]
+
+
+def test_a_wide_power_sum_is_priced_in_numbers_only(capsys):
+    # a power:5000 law's tops and byte bounds have thousands of digits: the
+    # fold reaches k = 3, and a refusal prints its figure in a bounded form
+    code, out, err = run(capsys, "moments", "--family", "selfconj", "--e", "2", "--n", "5",
+                         "--stat", "power:5000", "--k", "3..3")
+    assert (code, err) == (0, "") and out.splitlines()[0] == "k,5"
+    code, out, err = run(capsys, "distance", "--family", "selfconj", "--e", "1", "--n", "3",
+                         "--stat", "power:5000")
+    assert (code, out) == (1, "")
+    (line,) = err.splitlines()
+    assert len(line) <= 300 and line.endswith("`moments` reaches its orders up to 198 without a pmf")
+    assert "may need 2^11618 bytes" in line
 
 
 def test_a_memory_error_is_one_error_line(capsys, monkeypatch):

@@ -91,13 +91,14 @@ def test_pmf_byte_budget_refuses_before_the_first_step(monkeypatch):
     msg = str(err.value)
     assert "\n" not in msg and "5152 bytes" in msg
     assert all(part in msg for part in ("family core", "stat length", "n 6", "cap 3", "moments"))
-    # strict size d=2, n=5: 21 paths (1-byte lanes), states 2, A <= 8 and
-    # T <= 7 + 9 + 11 + 13 = 40, so 41 * (2 * 9 * 1 + 320) = 13858
+    # strict size d=2, n=5: 21 paths (1-byte lanes), states 2; no two adjacent
+    # coordinates are nonzero, so over its paths A <= 4 and T <= 9 + 13 = 22,
+    # and 23 * (2 * 5 * 1 + 320) = 7590
     spec = FamilySpec("strict", 5, 2)
-    monkeypatch.setattr(exactdist, "PMF_BYTE_BUDGET", 13858)
+    monkeypatch.setattr(exactdist, "PMF_BYTE_BUDGET", 7590)
     assert dist_statistic(spec, "size").total == 21
-    monkeypatch.setattr(exactdist, "PMF_BYTE_BUDGET", 13857)
-    with pytest.raises(ValueError, match="13858 bytes"):
+    monkeypatch.setattr(exactdist, "PMF_BYTE_BUDGET", 7589)
+    with pytest.raises(ValueError, match="7590 bytes"):
         dist_statistic(spec, "size")
 
 
@@ -243,7 +244,7 @@ TABLE_ENGINES = [
     ("strict", "length", 2, range(8, 18), "pppppppppp"),
     ("strict", "size", 2, range(8, 18), "pppppppppp"),
     ("selfconj", "power:0", 2, range(6, 16), "pppppppppp"),
-    ("selfconj", "power:1", 2, range(6, 16), "ppffffffff"),
+    ("selfconj", "power:1", 2, range(6, 16), "pppppppppf"),
     ("selfconj", "power:2", 2, range(6, 16), "ffffffffff"),
     ("selfconj", "power:3", 2, range(6, 16), "ffffffffff"),
     ("core", "size", 3, range(15, 21), "pppppp"),
@@ -304,13 +305,15 @@ def test_the_pmf_is_never_chosen_past_its_byte_budget(monkeypatch):
 
 
 def test_the_engine_pick_reads_the_pmf_refusals_own_price(monkeypatch):
-    # a pmf fold priced 100 times dearer, still far under PMF_SECONDS_LIMIT,
-    # sends core size d=3 n=10 (a pinned pmf pick) to the fold
+    # a pmf fold whose bytes are priced 100 times dearer, still far under
+    # SECONDS_LIMIT, sends core size d=3 n=10 (a pinned pmf pick) to the fold
     spec = FamilySpec("core", 10, 3)
     expected = dist_statistic(spec, "size").power_sums(8)
     assert sums_engine(spec, "size", 8) == "pmf"
-    monkeypatch.setattr(exactdist, "PMF_UNIT_NS", tuple(100 * ns for ns in exactdist.PMF_UNIT_NS))
-    assert exactdist._Law.of(spec, "size").seconds < exactdist.PMF_SECONDS_LIMIT
+    dearer = dict(exactdist.PRICE_FS)
+    dearer["pmf byte 2"] *= 100
+    monkeypatch.setattr(exactdist, "PRICE_FS", dearer)
+    assert exactdist._Law.of(spec, "size").price()[1] < exactdist.SECONDS_LIMIT
     assert sums_engine(spec, "size", 8) == "fold"
     assert power_sums(spec, "size", 8) == expected
 
@@ -464,23 +467,36 @@ def test_move_limit_boundary():
             exactdist._Law.of(FamilySpec(family, 100, limit // 100), stat)
 
 
+def test_a_power_exponent_is_priced_before_its_moves_are_built():
+    # the exponent is a range like n's; power:100000 once raised from inside
+    # the engine pick, which put a 70 000-digit byte bound in an f-string
+    limit = exactdist.RANGE_LIMIT
+    assert exactdist._Law.of(FamilySpec("selfconj", 3, 1), f"power:{limit}").paths == 3
+    for stat in (f"power:{limit + 1}", "power:100000"):
+        with pytest.raises(ValueError, match=f"power:k may be at most RANGE_LIMIT = {limit}$"):
+            moment_report(FamilySpec("selfconj", 5, 2), stat, 3)
+
+
 def test_the_pmf_fold_is_priced_in_time(monkeypatch):
-    # the slowest pmfs answered so far fit PMF_SECONDS_LIMIT, and core length
-    # d=3 n=2400 (estimated at 31 s) is refused before its first step
-    limit = exactdist.PMF_SECONDS_LIMIT
+    # the slowest pmfs answered so far fit SECONDS_LIMIT, and core length d=3
+    # n=3064, the first n refused on its curve, is refused before its first step
+    limit = exactdist.SECONDS_LIMIT
     for family, stat, cap, n in (("core", "length", 3, 1600), ("strict", "size", 2, 160)):
-        law = exactdist._Law.of(FamilySpec(family, n, cap), stat)
-        assert law.seconds < limit / 2 and law.need <= exactdist.PMF_BYTE_BUDGET
-    law = exactdist._Law.of(FamilySpec("core", 2400, 3), "length")
-    assert law.seconds > limit and law.need <= exactdist.PMF_BYTE_BUDGET
-    with pytest.raises(ValueError, match=f"over PMF_SECONDS_LIMIT = {limit}; `moments` reaches"):
+        _, seconds, need = exactdist._Law.of(FamilySpec(family, n, cap), stat).price()
+        assert seconds < limit / 2 and need <= exactdist.PMF_BYTE_BUDGET
+    assert exactdist._Law.of(FamilySpec("core", 3063, 3), "length").price()[1] <= limit
+    law = exactdist._Law.of(FamilySpec("core", 3064, 3), "length")
+    _, seconds, need = law.price()
+    assert seconds > limit and need <= exactdist.PMF_BYTE_BUDGET
+    with pytest.raises(ValueError, match=f"over SECONDS_LIMIT = {limit}; `moments` reaches"):
         law.pmf()
     # length moves are the same at every coordinate: its steps share one list
     assert len({id(step) for step in law.steps}) == 1
-    # a column past the limit folds, as one past PMF_BYTE_BUDGET does
+    # a column whose engines are both priced past the limit keeps the cheaper
+    # pick, and its request is refused before either runs
     spec = FamilySpec("core", 10, 3)
-    expected = dist_statistic(spec, "size").power_sums(8)
     assert sums_engine(spec, "size", 8) == "pmf"
-    monkeypatch.setattr(exactdist, "PMF_SECONDS_LIMIT", 1e-6)
-    assert sums_engine(spec, "size", 8) == "fold"
-    assert power_sums(spec, "size", 8) == expected
+    monkeypatch.setattr(exactdist, "SECONDS_LIMIT", 1e-6)
+    assert sums_engine(spec, "size", 8) == "pmf"
+    with pytest.raises(ValueError, match="order 8 may take 1 s, over SECONDS_LIMIT = 1e-06$"):
+        exactdist._Law.of(spec, "size").refuse(8)
