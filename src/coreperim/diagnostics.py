@@ -162,8 +162,7 @@ def subset_sum_distribution(m: int, k: int) -> DiscreteDist:
     """
     if not 0 < k <= m:
         raise ValueError("need 0 < k <= m")
-    counts = _subset_sum_counts(m, k)
-    dist = DiscreteDist({s: c for s, c in enumerate(counts) if c})
+    dist = DiscreteDist.from_lanes(_subset_sum_counts(m, k))
     assert dist.variance() == Fraction(k * (m - k) * (m + 1), 12)
     return dist
 

@@ -8,34 +8,36 @@ so floating point enters only at final divisions.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import islice
+from itertools import compress, count
 from math import isqrt
-from operator import lt
 
 
 class DiscreteDist:
     def __init__(self, atoms: dict[int, int]):
-        # One private copy.  Input that already has ascending int keys and
-        # positive weights (as the lane folds return it) is only checked;
-        # anything else is validated, cleaned of zero weights and sorted.
-        own = dict(atoms)
-        if not (
-            own
-            and min(own.values()) > 0
-            and set(map(type, own)) == {int}
-            and all(map(lt, own, islice(own, 1, None)))
-        ):
-            cleaned = {}
-            for value, weight in atoms.items():
-                if weight < 0:
-                    raise ValueError(f"negative weight {weight} at {value}")
-                if weight > 0:
-                    cleaned[int(value)] = weight
-            if not cleaned:
-                raise ValueError("distribution needs at least one atom")
-            own = dict(sorted(cleaned.items()))
-        self._atoms = own
-        self.total = sum(own.values())
+        # atoms from outside the lane folds: validated, cleaned and sorted
+        cleaned = {}
+        for value, weight in atoms.items():
+            if not isinstance(value, int):
+                raise ValueError(f"value {value!r} is not an integer")
+            if not isinstance(weight, int):
+                raise ValueError(f"weight {weight!r} at {value!r} is not an integer")
+            if weight < 0:
+                raise ValueError(f"negative weight {weight} at {value}")
+            if weight > 0:
+                cleaned[int(value)] = int(weight)
+        if not cleaned:
+            raise ValueError("distribution needs at least one atom")
+        self._atoms = dict(sorted(cleaned.items()))
+        self.total = sum(self._atoms.values())
+
+    @classmethod
+    def from_lanes(cls, weights: list[int]) -> DiscreteDist:
+        """Weight weights[v] at each value v >= 0 where it is not 0: a lane fold's
+        counts, nonnegative ints in value order, taken with no check or copy."""
+        dist = cls.__new__(cls)
+        dist._atoms = dict(zip(compress(count(), weights), filter(None, weights)))
+        dist.total = sum(weights)
+        return dist
 
     @property
     def atoms(self) -> dict[int, int]:

@@ -16,10 +16,10 @@ A request builds its `_Law` once, and both folds read its moves:
     each layer by Kronecker substitution.  A layer is one integer per
     (state, a) whose lane u, L bits wide, holds the weight of the prefix
     paths whose zero extension has statistic u.  A coordinate costs a few
-    shifts and adds of whole integers, and the pmf is read off the last
-    layer's lanes by `decode_lanes`.  L/8 is ceil(bits(N)/8) bytes, padded
-    to 1, 2, 4 or 8 when it is at most 8, so the decode is one
-    `memoryview.cast` of the integer's bytes.
+    shifts and adds of whole integers, and the pmf is the last layer's
+    lanes, read by `decode_lanes` into `DiscreteDist.from_lanes`.  L/8 is
+    ceil(bits(N)/8) bytes, padded to 1, 2, 4 or 8 when it is at most 8, so
+    the decode is one `memoryview.cast` of the integer's bytes.
     No lane carries, by two facts.  Every step offers at least one value
     from every state, so each prefix path extends to a full path, distinct
     prefixes to distinct paths; a lane counts paths of one layer, so it
@@ -38,8 +38,8 @@ two engines that fits (`sums_engine`): small columns are read off the pmf,
 large ones fold, and so do the selfconj `power:2` and `power:3` columns,
 whose pmfs are wide.  Both are exact integer folds, so the choice never
 changes a printed digit.  The same price refuses, in one line that names
-its seconds or bytes (`_Law.refuse`), a pmf or a `moments` request too
-dear to run.
+its seconds or bytes (`_Law.refuse`), a pmf or a power-sum request too
+dear to run, in the library as in the CLI.
 
 All weights stay arbitrary-precision integers; floats appear only when a
 standardized moment is finally printed.
@@ -50,7 +50,7 @@ import sys
 from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import lru_cache
-from itertools import compress, count, product
+from itertools import product
 from math import ceil, comb, lcm, prod
 from operator import getitem
 from struct import calcsize
@@ -82,8 +82,8 @@ __all__ = [
 # A request whose price (`_Law.price`) passes PMF_BYTE_BUDGET bytes or
 # SECONDS_LIMIT seconds is refused before its first fold step; `moments`
 # reaches wide statistics without a pmf.  A decoded atom takes at most about
-# _ATOM_BYTES: its dict entries, DiscreteDist's sorted copy and a `dist`
-# output line (250-300 measured at 3- to 12-byte weights).
+# _ATOM_BYTES: its decoded lane, its dict entry and a `dist` output line (250-300
+# measured at 3- to 12-byte weights with a second dict entry, so it is loose).
 PMF_BYTE_BUDGET = 1280 << 20
 _ATOM_BYTES = 320
 SECONDS_LIMIT = 30
@@ -130,7 +130,7 @@ def refuse_wide(spec: FamilySpec, what: str) -> None:
 
 def dist_statistic(spec: FamilySpec, stat) -> DiscreteDist:
     """Exact pmf of a statistic over the uniform family: one lane fold."""
-    return DiscreteDist(_Law.of(spec, stat).pmf())
+    return _Law.of(spec, stat).pmf()
 
 
 def _automaton(spec: FamilySpec, stat):
@@ -187,7 +187,7 @@ def _pair_values(n: int, e: int, k: int, i: int) -> list[int]:
     return values
 
 
-def _fold_pmf(law: _Law) -> dict[int, int]:
+def _fold_pmf(law: _Law) -> DiscreteDist:
     """Weights of the statistic T - C(a, 2) over every path (all states accept).
 
     A layer keeps one integer P per (state, a), lane u for u = T - C(a, 2).
@@ -209,8 +209,8 @@ def _fold_pmf(law: _Law) -> dict[int, int]:
                         p_m << shift if shift >= 0 else p_m >> -shift
                     )
         layer = nxt
-    weights = decode_lanes(sum(p for atoms in layer for p in atoms.values()), law.width)
-    return dict(zip(compress(count(), weights), filter(None, weights)))
+    return DiscreteDist.from_lanes(
+        decode_lanes(sum(p for atoms in layer for p in atoms.values()), law.width))
 
 
 # lane width in bytes -> the memoryview format of a native unsigned int that wide
@@ -317,16 +317,16 @@ class _Law:
         engine, fs, need = min(fits or offers, key=lambda offer: offer[1])
         return engine, Fraction(fs, 10**15), need
 
-    def refuse(self, k_max: int | None = None) -> None:
-        """Refuse, in one line, what `price(k_max)` puts past PMF_BYTE_BUDGET or
-        SECONDS_LIMIT; a pmf refusal tells how far `moments` reaches without one."""
+    def refuse(self, k_max: int | None = None) -> str:
+        """The engine `price(k_max)` picks, or a one-line refusal of what it puts past
+        PMF_BYTE_BUDGET or SECONDS_LIMIT; a pmf's tells how far `moments` reaches."""
         engine, seconds, need = self.price(k_max)
         if need > PMF_BYTE_BUDGET:
             cost = f"need {_figure(need)} bytes, over PMF_BYTE_BUDGET = {PMF_BYTE_BUDGET}"
         elif seconds > SECONDS_LIMIT:
             cost = f"take {_figure(ceil(seconds))} s, over SECONDS_LIMIT = {SECONDS_LIMIT}"
         else:
-            return
+            return engine
         why = ("it" if k_max is None else f"its moments up to order {k_max}") + " may " + cost
         reach = engine == "pmf" and self.lanes and _fold_reach(self.lanes)
         if reach and (k_max is None or k_max > reach):
@@ -334,7 +334,7 @@ class _Law:
         raise ValueError(f"{'pmf' if engine == 'pmf' else 'power-sum fold'} of {self.label} "
                          f"refused: {why}")
 
-    def pmf(self) -> dict[int, int]:
+    def pmf(self) -> DiscreteDist:
         """`_fold_pmf`, unless `refuse` refuses it."""
         self.refuse()
         return _fold_pmf(self)
@@ -409,12 +409,12 @@ def power_sums(spec: FamilySpec, stat, k_max: int) -> list[int]:
     """[sum of s^j over the family, j = 0..k_max] for the statistic s.
 
     Two exact integer engines give the same list: the power-sum fold
-    (`_fold_sums`) and the pmf's own sums.  `sums_engine` picks the one
-    `_Law.price` calls cheaper, before either runs.
+    (`_fold_sums`) and the pmf's own sums.  The one price of `_Law.refuse`
+    picks the cheaper, before either runs, or refuses what `moments` refuses.
     """
     law = _Law.of(spec, stat)
-    if law.price(k_max)[0] == "pmf":
-        return DiscreteDist(law.pmf()).power_sums(k_max)
+    if law.refuse(k_max) == "pmf":
+        return _fold_pmf(law).power_sums(k_max)
     return _fold_sums(law, k_max)
 
 
@@ -550,7 +550,7 @@ def conditional_stat(spec: FamilySpec, stat, support) -> ConditionalStat:
     steps = [[(0, 0, _coordinate(n, kind, i, range(1, d + 1) if i in t else (0,)))]
              for i in range(1, n)]
     law = _Law(f"strict {stat} on support {t}, n {n}, cap {d}", 1, steps, None)
-    dist = DiscreteDist(law.pmf())
+    dist = law.pmf()
     if kind == "length":
         closed_mean, closed_var = _closed_forms_length(d, t)
     else:

@@ -386,7 +386,7 @@ def u_polynomial(n: int, d: int) -> PFSequence:
 
 def u_distribution(n: int, d: int) -> DiscreteDist:
     """Nonzero-coordinate count over the no-adjacent-support family."""
-    return DiscreteDist(dict(enumerate(u_weights(n, d))))
+    return DiscreteDist.from_lanes(u_weights(n, d))
 
 
 BernoulliSplit = namedtuple(

@@ -191,6 +191,27 @@ def test_diff_header_mismatch(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("doctor, line", [
+    (lambda rows: rows + ["5,0.000,0.000"], "row count 3 vs 4"),
+    (lambda rows: [rows[0], "9" + rows[1][1:], rows[2]], "row shape mismatch at k=3 vs k=9"),
+    (lambda rows: rows[:2] + [rows[2].rsplit(",", 1)[0]], "row shape mismatch at k=4 vs k=4"),
+])
+def test_diff_names_a_row_drift_in_one_line(tmp_path, capsys, doctor, line):
+    # an extra row, a wrong k label and a short row
+    args = ["moments", "--family", "core", "--stat", "length", "--d", "1", "--n", "6..7",
+            "--k", "3..4"]
+    _, text, _ = run(capsys, *args)
+    golden = tmp_path / "golden.csv"
+    golden.write_text("\n".join(doctor(text.splitlines())) + "\n")
+    code, out, err = run(capsys, *args, "--diff", str(golden))
+    assert (code, out, err) == (2, text, f"diff: {line}\n")
+
+
+def test_moments_without_n_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "moments", "--family", "core", "--d", "3")
+    assert (code, out, err) == (1, "", "error: --n is required\n")
+
+
 @pytest.mark.parametrize("text", ["", "# comment only\n\n"])
 def test_diff_against_a_golden_file_without_rows(tmp_path, capsys, text):
     golden = tmp_path / "empty.csv"

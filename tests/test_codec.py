@@ -88,6 +88,8 @@ def test_encode_error_kinds():
         encode_core(p, 4, 2)
     with pytest.raises(NotSelfConjugateError):
         encode_selfconj(p, 4, 3)
+    with pytest.raises(NotCoreError):  # self-conjugate, with the hook 3
+        encode_selfconj(from_parts((2, 1)), 3, 1)
     sc = from_parts((4, 2, 1, 1))  # self-conjugate 3-core, perimeter 7
     with pytest.raises(PerimeterError):
         encode_selfconj(sc, 3, 1)

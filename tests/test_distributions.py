@@ -34,10 +34,18 @@ def test_construction_cleans_and_validates():
         DiscreteDist({0: 0})
     with pytest.raises(ValueError):
         DiscreteDist({0: -1})
+    # not integers: 1.5 was truncated to 1, a weight 1.5 built a law whose
+    # mean() raised TypeError, and "3" became the value 3
+    with pytest.raises(ValueError, match="^value 1.5 is not an integer$"):
+        DiscreteDist({1.5: 1, 2: 1})
+    with pytest.raises(ValueError, match="^weight 1.5 at 1 is not an integer$"):
+        DiscreteDist({1: 1.5})
+    with pytest.raises(ValueError, match="^value '3' is not an integer$"):
+        DiscreteDist({"3": 1})
 
 
 def cleaned_atoms(atoms):
-    """The atoms (or the error) of the constructor before its sorted-input path."""
+    """The atoms (or the error) of the validating constructor, on integer atoms."""
     cleaned = {}
     for value, weight in atoms.items():
         if weight < 0:
@@ -62,7 +70,7 @@ def outcome(build, atoms):
 )
 def test_construction_matches_the_cleaning_oracle(atoms, order):
     if order is not None:
-        atoms = dict(order(atoms.items()))  # ascending input takes the checked path
+        atoms = dict(order(atoms.items()))  # any input order gives the same atoms
     got = outcome(lambda a: list(DiscreteDist(a).items()), atoms)
     assert got == outcome(cleaned_atoms, atoms)
     if isinstance(got, list):
@@ -81,6 +89,19 @@ def test_construction_keeps_a_private_copy():
     assert list(DiscreteDist({True: 2, 4: 1}).items()) == [(1, 2), (4, 1)]
     assert type(DiscreteDist({True: 2}).support()[0]) is int
     assert outcome(DiscreteDist, {0: 1, 2: -3, 5: -1}) == "negative weight -3 at 2"
+
+
+@given(st.lists(st.integers(0, 10**30), max_size=12).filter(any))
+def test_lanes_build_the_law_their_dict_builds(weights):
+    lanes = DiscreteDist.from_lanes(weights)
+    assert list(lanes.items()) == list(DiscreteDist(dict(enumerate(weights))).items())
+    assert lanes.total == sum(weights)
+    assert all(type(v) is int and w > 0 for v, w in lanes.items())
+
+
+def test_repr_of_a_wide_law_names_its_range():
+    assert repr(DiscreteDist(dict.fromkeys(range(8), 1))) == "DiscreteDist(8 atoms on [0, 7], total=8)"
+    assert repr(DiscreteDist({2: 1, 0: 3})) == "DiscreteDist({0: 3, 2: 1}, total=4)"
 
 
 def test_hand_moments():

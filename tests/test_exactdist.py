@@ -1,4 +1,5 @@
 import hashlib
+import time
 import tracemalloc
 from fractions import Fraction
 from itertools import product
@@ -316,6 +317,51 @@ def test_the_engine_pick_reads_the_pmf_refusals_own_price(monkeypatch):
     assert exactdist._Law.of(spec, "size").price()[1] < exactdist.SECONDS_LIMIT
     assert sums_engine(spec, "size", 8) == "fold"
     assert power_sums(spec, "size", 8) == expected
+
+
+@pytest.mark.parametrize("spec, stat, engine", [
+    (FamilySpec("core", 10, 3), "size", "pmf"),
+    (FamilySpec("core", 200, 3), "length", "fold"),
+])
+def test_power_sums_prices_its_law_once(monkeypatch, spec, stat, engine):
+    # the pmf column once priced its request and then its pmf again
+    expected = fold_power_sums(spec, stat, 8)
+    assert sums_engine(spec, stat, 8) == engine
+    price, calls = exactdist._Law.price, []
+
+    def counted(law, *args):
+        calls.append(args)
+        return price(law, *args)
+
+    monkeypatch.setattr(exactdist._Law, "price", counted)
+    assert power_sums(spec, stat, 8) == expected
+    assert calls == [(8,)]
+
+
+def test_the_library_refuses_what_moments_refuses(capsys, monkeypatch):
+    from coreperim.cli import main
+
+    def no_fold(*args):
+        raise AssertionError("a refused request ran its fold")
+
+    monkeypatch.setattr(exactdist, "_fold_sums", no_fold)
+    t0 = time.perf_counter()
+    refusal = r"order 16 may take \d+ s, over SECONDS_LIMIT"
+    with pytest.raises(ValueError, match=refusal) as refused:
+        moment_report(FamilySpec("core", 3000, 3), "size", 16)
+    assert time.perf_counter() - t0 < 1.0
+    argv = ["moments", "--family", "core", "--stat", "size", "--d", "3", "--n", "3000",
+            "--k", "3..16"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {refused.value}\n"
+    monkeypatch.undo()
+    # `fold_power_sums`, the independent check, stays unbounded
+    spec = FamilySpec("core", 6, 3)
+    expected = power_sums(spec, "size", 8)
+    monkeypatch.setattr(exactdist, "SECONDS_LIMIT", 1e-9)
+    with pytest.raises(ValueError, match="over SECONDS_LIMIT = 1e-09$"):
+        power_sums(spec, "size", 8)
+    assert fold_power_sums(spec, "size", 8) == expected
 
 
 def test_power_sums_past_the_plan_limit_and_errors():

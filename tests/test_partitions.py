@@ -12,6 +12,7 @@ from coreperim.partitions import (
     from_beta_set,
     from_parts,
     hook_lengths,
+    is_beta_core,
     is_s_core,
     is_self_conjugate,
     is_strict,
@@ -129,6 +130,8 @@ def test_is_s_core_by_hooks():
     assert not is_s_core(p, 5)
     assert not is_s_core(p, 3)
     assert is_s_core(from_parts(()), 2)
+    with pytest.raises(ValueError, match="^modulus must be at least 2$"):
+        is_beta_core((1,), 1)
 
 
 @given(partitions())

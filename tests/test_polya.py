@@ -112,6 +112,8 @@ def test_hand_polynomials():
     # linear and cubic
     roots, _ = pf_real_roots([2, 4])
     assert roots == [pytest.approx(-0.5)]
+    # a negative leading coefficient: 1 - 2z has the exact root 1/2
+    assert pf_real_roots([1, -2]) == ([0.5], RootCertificate(1, ((Fraction(1, 2),) * 2,)))
     roots, _ = pf_real_roots([6, 11, 6, 1])  # (1+z)(2+z)(3+z)
     assert roots == pytest.approx([-3, -2, -1], abs=1e-11)
 
@@ -338,6 +340,8 @@ def test_lower_tail_bound():
     assert t.mean == Fraction(71, 34)
     assert t.tail == Fraction(4, 17)  # P(U <= mean - 1) = P(U <= 1) = 16/68
     assert t.holds and float(t.tail) <= t.bound
+    with pytest.raises(ValueError, match="^need r > 0$"):
+        pf_tail_bound(10, 1, 0)
     for n in (6, 9, 12, 15):
         for d in (1, 2):
             mean = u_mean_bounds(n, d).mean
